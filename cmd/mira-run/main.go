@@ -130,7 +130,7 @@ func main() {
 	batch := flag.Bool("batch", true, "vectored remote I/O: doorbell-batched prefetch and async write-back (false = PR 2 data path)")
 	compress := flag.String("compress", "off", "wire compression for mira/mira-swap: off, on (every section + swap), auto (planner measures per section)")
 	offloadMode := flag.String("offload", "off", "scatter-gather offload for mira: off, on (offload every scatter-safe function), auto (planner races offload vs fetch per function, keeping only wins)")
-	offloadChunk := flag.Int("offload-chunk", 0, "offload engine streaming chunk in bytes for operand/result/commit transfers (0 = default)")
+	offloadChunk := flag.Int("offload-chunk", 0, "with -nodes: offload engine streaming chunk in bytes for operand/result/commit transfers (0 = default)")
 	plane := flag.String("plane", "", "mira data-plane mode: page (swap only), line (cache sections only), hybrid (planner races both + a per-object split); empty = classic planning")
 	tierDRAM := flag.Int64("tier-dram", 0, "with -nodes: per-node DRAM budget in bytes; the rest of each node's data lives on a simulated SSD tier (0 = no tier)")
 	wbq := flag.Int("wbq", 0, "async write-back queue bound in lines (0 = default, negative = disabled)")

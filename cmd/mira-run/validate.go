@@ -71,8 +71,13 @@ func validateFlags(f runFlags) error {
 			return fmt.Errorf("-offload does not combine with -plane (plane modes are single-node; offload scatters across the cluster)")
 		}
 	}
-	if f.set("offload-chunk") && (f.Offload == "" || f.Offload == "off") {
-		return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
+	if f.set("offload-chunk") {
+		if f.Offload == "" || f.Offload == "off" {
+			return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
+		}
+		if f.Nodes <= 0 {
+			return fmt.Errorf("-offload-chunk sizes the scatter-gather engine's streams, which exists only in cluster mode; pass -nodes as well")
+		}
 	}
 	if f.set("prefetch-window") && f.Prefetch == "" {
 		return fmt.Errorf("-prefetch-window tunes a zoo policy; pass -prefetch as well")

@@ -62,9 +62,15 @@ func TestValidateFlags(t *testing.T) {
 		}, "-offload"},
 		{"chunk-with-offload-ok", func(f *runFlags) {
 			f.Offload = "on"
+			f.Nodes = 4
 			f.OffloadChunk = 4096
 			f.Set["offload-chunk"] = true
 		}, ""},
+		{"chunk-without-nodes", func(f *runFlags) {
+			f.Offload = "on"
+			f.OffloadChunk = 4096
+			f.Set["offload-chunk"] = true
+		}, "-nodes"},
 	}
 	for _, c := range cases {
 		err := validateFlags(flags(c.mutate))

@@ -74,9 +74,6 @@ func (o Options) withDefaults() Options {
 	if o.Net.BytesPerSecond == 0 {
 		o.Net = netmodel.DefaultConfig()
 	}
-	if o.NodeCfg.Capacity == 0 {
-		o.NodeCfg = farmem.DefaultNodeConfig()
-	}
 	return o
 }
 

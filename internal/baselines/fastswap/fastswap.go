@@ -7,8 +7,6 @@
 package fastswap
 
 import (
-	"fmt"
-
 	"mira/internal/cluster"
 	"mira/internal/farmem"
 	"mira/internal/faults"
@@ -68,48 +66,36 @@ func New(w workload.Workload, opts Options) (*rt.Runtime, error) {
 	if opts.Readahead == 0 {
 		opts.Readahead = 2
 	}
-	if opts.Net.BytesPerSecond == 0 {
-		opts.Net = netmodel.DefaultConfig()
-	}
-	if opts.NodeCfg.Capacity == 0 {
-		opts.NodeCfg = farmem.DefaultNodeConfig()
-	}
 	if opts.MajorFaultOverhead == 0 {
 		opts.MajorFaultOverhead = 4500 * sim.Nanosecond
 	}
-	// Local (pinned) objects consume budget before the page pool.
-	var local int64
-	for _, o := range w.Program().Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
-	pool := opts.LocalBudget - local
-	if pool <= 0 {
-		return nil, fmt.Errorf("local objects (%d bytes) exceed budget %d", local, opts.LocalBudget)
-	}
-	cfg := rt.Config{
-		LocalBudget: opts.LocalBudget,
-		SwapPool:    pool,
-		Placements:  map[string]rt.Placement{},
-		Net:         opts.Net,
-		SwapCfg: swap.Config{
-			MajorFaultOverhead: opts.MajorFaultOverhead,
-			MinorFaultOverhead: 1000 * sim.Nanosecond,
-		},
-		Faults:     opts.Faults,
-		Resilience: opts.Resilience,
-		Cluster:    opts.Cluster,
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	return Datapath(w, opts, swap.Config{MajorFaultOverhead: opts.MajorFaultOverhead}, Readahead{N: opts.Readahead})
+}
+
+// Datapath builds the page-swap runtime the swap baselines share: every
+// far object of w pages through one pool holding what the pinned local
+// objects leave of opts.LocalBudget (rt.SwapOnly), over opts' interconnect,
+// far node(s), fault schedule and resilience policy. sc sets the fault
+// path (minor faults always cost 1 µs) and pf the prefetcher; opts'
+// Readahead and MajorFaultOverhead are not consulted. Leap is this
+// datapath with its trend prefetcher and batched prefetch gather.
+func Datapath(w workload.Workload, opts Options, sc swap.Config, pf swap.Prefetcher) (*rt.Runtime, error) {
+	prog := w.Program()
+	cfg, err := rt.SwapOnly(prog, opts.LocalBudget)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Bind(w.Program()); err != nil {
+	sc.MinorFaultOverhead = 1000 * sim.Nanosecond
+	cfg.Net, cfg.SwapCfg = opts.Net, sc
+	cfg.Faults, cfg.Resilience, cfg.Cluster = opts.Faults, opts.Resilience, opts.Cluster
+	r, err := rt.New(cfg, farmem.NewNode(opts.NodeCfg))
+	if err != nil {
 		return nil, err
 	}
-	r.SwapPrefetcher(Readahead{N: opts.Readahead})
+	if err := r.Bind(prog); err != nil {
+		return nil, err
+	}
+	r.SwapPrefetcher(pf)
 	if err := w.Init(r); err != nil {
 		return nil, err
 	}

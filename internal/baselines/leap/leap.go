@@ -8,8 +8,7 @@
 package leap
 
 import (
-	"fmt"
-
+	"mira/internal/baselines/fastswap"
 	"mira/internal/cluster"
 	"mira/internal/farmem"
 	"mira/internal/faults"
@@ -74,48 +73,11 @@ func New(w workload.Workload, opts Options) (*rt.Runtime, error) {
 	if opts.Depth == 0 {
 		opts.Depth = 8
 	}
-	if opts.Net.BytesPerSecond == 0 {
-		opts.Net = netmodel.DefaultConfig()
-	}
-	if opts.NodeCfg.Capacity == 0 {
-		opts.NodeCfg = farmem.DefaultNodeConfig()
-	}
-	// Local (pinned) objects consume budget before the page pool.
-	var local int64
-	for _, o := range w.Program().Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
-	pool := opts.LocalBudget - local
-	if pool <= 0 {
-		return nil, fmt.Errorf("local objects (%d bytes) exceed budget %d", local, opts.LocalBudget)
-	}
-	cfg := rt.Config{
-		LocalBudget: opts.LocalBudget,
-		SwapPool:    pool,
-		Placements:  map[string]rt.Placement{},
-		Net:         opts.Net,
-		SwapCfg: swap.Config{
-			MajorFaultOverhead: 4500 * sim.Nanosecond,
-			MinorFaultOverhead: 1000 * sim.Nanosecond,
-			BatchPrefetch:      !opts.NoBatching,
-		},
-		Faults:     opts.Faults,
-		Resilience: opts.Resilience,
-		Cluster:    opts.Cluster,
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Bind(w.Program()); err != nil {
-		return nil, err
-	}
-	r.SwapPrefetcher(NewPrefetcher(opts.Window, opts.Depth))
-	if err := w.Init(r); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return fastswap.Datapath(w, fastswap.Options{
+		LocalBudget: opts.LocalBudget, Net: opts.Net, NodeCfg: opts.NodeCfg,
+		Faults: opts.Faults, Resilience: opts.Resilience, Cluster: opts.Cluster,
+	}, swap.Config{
+		MajorFaultOverhead: 4500 * sim.Nanosecond,
+		BatchPrefetch:      !opts.NoBatching,
+	}, NewPrefetcher(opts.Window, opts.Depth))
 }

@@ -94,7 +94,7 @@ func fig16(scale Scale) (*Figure, error) {
 	}
 	testCfg := cfg
 	testCfg.Seed = 2015
-	testTime, err := runPlannedOn(dataframe.New(testCfg), plan)
+	_, testTime, err := runConfig(dataframe.New(testCfg), plan.Program, plan.Config, nil, true)
 	if err != nil {
 		return nil, err
 	}

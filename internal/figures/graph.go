@@ -6,15 +6,17 @@ import (
 	"mira/internal/apps/graphtraverse"
 	"mira/internal/baselines/fastswap"
 	"mira/internal/cache"
-	"mira/internal/codegen"
 	"mira/internal/exec"
 	"mira/internal/farmem"
 	"mira/internal/harness"
+	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/rt"
 	"mira/internal/sim"
 	"mira/internal/solver"
+	"mira/internal/swap"
+	"mira/internal/workload"
 )
 
 func init() {
@@ -197,25 +199,8 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 			SwapPool:    budget,
 			Placements:  map[string]rt.Placement{},
 		}
-		prog := w.Program()
-		node := farmem.NewNode(farmem.DefaultNodeConfig())
-		r, err := rt.New(cfg, node)
+		r, _, err := runConfig(w, w.Program(), cfg, fastswap.Readahead{N: 8}, false)
 		if err != nil {
-			return 0, err
-		}
-		if err := r.Bind(prog); err != nil {
-			return 0, err
-		}
-		r.SwapPrefetcher(fastswap.Readahead{N: 8})
-		if err := w.Init(r); err != nil {
-			return 0, err
-		}
-		ex, err := exec.New(prog, r, exec.Options{})
-		if err != nil {
-			return 0, err
-		}
-		clk := sim.NewClock(0)
-		if _, err := ex.Run(clk); err != nil {
 			return 0, err
 		}
 		faults := r.SwapFaultsIn("nodes")
@@ -234,7 +219,7 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 			"nodes": {Kind: rt.PlaceSection, Section: 1},
 		},
 	}
-	r, _, err := runGraphConfig(w, cfg, nil)
+	r, _, err := runGraphConfig(w, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -245,29 +230,29 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 	return float64(misses) / float64(hits+misses), nil
 }
 
-// runGraphConfig executes the (optionally codegen-transformed) graph program
-// under an explicit runtime configuration.
-func runGraphConfig(w *graphtraverse.Workload, cfg rt.Config, plan *codegen.Plan) (*rt.Runtime, sim.Duration, error) {
-	prog := w.Program()
-	if plan != nil {
-		var err error
-		prog, err = codegen.Apply(prog, plan)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	node := farmem.NewNode(farmem.DefaultNodeConfig())
-	r, err := rt.New(cfg, node)
+// runGraphConfig executes the graph program under an explicit runtime
+// configuration.
+func runGraphConfig(w *graphtraverse.Workload, cfg rt.Config) (*rt.Runtime, sim.Duration, error) {
+	return runConfig(w, w.Program(), cfg, nil, true)
+}
+
+// runConfig is the figures' one runtime build: prog bound to a fresh
+// runtime under cfg with pf as the swap prefetcher (nil: none), w's data
+// loaded, and prog run to completion. flush adds the final write-back to
+// the measured time.
+func runConfig(w workload.Workload, prog *ir.Program, cfg rt.Config, pf swap.Prefetcher, flush bool) (*rt.Runtime, sim.Duration, error) {
+	r, err := rt.New(cfg, farmem.NewNode(farmem.DefaultNodeConfig()))
 	if err != nil {
 		return nil, 0, err
 	}
 	if err := r.Bind(prog); err != nil {
 		return nil, 0, err
 	}
+	r.SwapPrefetcher(pf)
 	if err := w.Init(r); err != nil {
 		return nil, 0, err
 	}
-	ex, err := exec.New(prog, r, exec.Options{})
+	ex, err := exec.New(prog, r, exec.Options{Params: w.Params()})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -275,8 +260,10 @@ func runGraphConfig(w *graphtraverse.Workload, cfg rt.Config, plan *codegen.Plan
 	if _, err := ex.Run(clk); err != nil {
 		return nil, 0, err
 	}
-	if err := r.FlushAll(clk); err != nil {
-		return nil, 0, err
+	if flush {
+		if err := r.FlushAll(clk); err != nil {
+			return nil, 0, err
+		}
 	}
 	return r, clk.Now().Sub(0), nil
 }
@@ -331,7 +318,7 @@ func fig9(scale Scale) (*Figure, error) {
 				"nodes": {Kind: rt.PlaceSection, Section: 1},
 			},
 		}
-		r, total, err := runGraphConfig(w, rcfg, nil)
+		r, total, err := runGraphConfig(w, rcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +374,7 @@ func fig10(scale Scale) (*Figure, error) {
 					"nodes": {Kind: rt.PlaceSection, Section: 1},
 				},
 			}
-			_, total, err := runGraphConfig(w, rcfg, nil)
+			_, total, err := runGraphConfig(w, rcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -469,12 +456,7 @@ func runThreeSection(w *graphtraverse.Workload, budget int64, target int, ratio 
 			"rand3": {Kind: rt.PlaceSection, Section: 2},
 		},
 	}
-	return runGraphConfigAll(w, rcfg)
-}
-
-// runGraphConfigAll is runGraphConfig for the three-array variant.
-func runGraphConfigAll(w *graphtraverse.Workload, cfg rt.Config) (*rt.Runtime, sim.Duration, error) {
-	return runGraphConfig(w, cfg, nil)
+	return runGraphConfig(w, rcfg)
 }
 
 // runGraphThree runs the three-array graph example with explicit section
@@ -499,7 +481,7 @@ func runGraphThree(w *graphtraverse.Workload, budget, edgeSize, nodeSize, randSi
 			"rand3": {Kind: rt.PlaceSection, Section: 2},
 		},
 	}
-	return runGraphConfig(w, rcfg, nil)
+	return runGraphConfig(w, rcfg)
 }
 
 // fig12: application performance across partitions plus the ILP's pick.

@@ -9,7 +9,6 @@ import (
 	"mira/internal/apps/graphtraverse"
 	"mira/internal/apps/mcf"
 	"mira/internal/baselines/aifm"
-	"mira/internal/exec"
 	"mira/internal/farmem"
 	"mira/internal/harness"
 	"mira/internal/planner"
@@ -42,34 +41,6 @@ func overheadWorkloads(scale Scale) []struct {
 		{"mcf", func() workload.Workload { return mcf.New(mcfCfg(scale)) }, &aifm.Options{MetaPerObject: 40}},
 		{"gpt2", func() workload.Workload { return gpt2.New(gpt2Cfg(scale)) }, nil},
 	}
-}
-
-// runPlannedOn executes an already-planned compilation against a (possibly
-// different-input) workload — the input-adaptation test of §3.
-func runPlannedOn(w workload.Workload, plan *planner.Result) (sim.Duration, error) {
-	node := farmem.NewNode(farmem.DefaultNodeConfig())
-	r, err := rt.New(plan.Config, node)
-	if err != nil {
-		return 0, err
-	}
-	if err := r.Bind(plan.Program); err != nil {
-		return 0, err
-	}
-	if err := w.Init(r); err != nil {
-		return 0, err
-	}
-	ex, err := exec.New(plan.Program, r, exec.Options{Params: w.Params()})
-	if err != nil {
-		return 0, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return 0, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return 0, err
-	}
-	return clk.Now().Sub(0), nil
 }
 
 // fig19: run-time overhead at 100% local memory — Mira and AIFM relative to
@@ -233,36 +204,11 @@ func scopeStats(scale Scale) (*Figure, error) {
 
 // profiledRun executes on the swap configuration with probes on or off.
 func profiledRun(w workload.Workload, budget int64, profiling bool) (sim.Duration, error) {
-	var local int64
-	for _, o := range w.Program().Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
-	cfg := rt.Config{
-		LocalBudget: budget,
-		SwapPool:    budget - local,
-		Placements:  map[string]rt.Placement{},
-		Profiling:   profiling,
-	}
-	node := farmem.NewNode(farmem.DefaultNodeConfig())
-	r, err := rt.New(cfg, node)
+	cfg, err := rt.SwapOnly(w.Program(), budget)
 	if err != nil {
 		return 0, err
 	}
-	if err := r.Bind(w.Program()); err != nil {
-		return 0, err
-	}
-	if err := w.Init(r); err != nil {
-		return 0, err
-	}
-	ex, err := exec.New(w.Program(), r, exec.Options{Params: w.Params()})
-	if err != nil {
-		return 0, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return 0, err
-	}
-	return clk.Now().Sub(0), nil
+	cfg.Profiling = profiling
+	_, t, err := runConfig(w, w.Program(), cfg, nil, false)
+	return t, err
 }

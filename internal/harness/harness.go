@@ -50,8 +50,11 @@ type Options struct {
 	Net netmodel.Config
 	// NodeCfg overrides the far node.
 	NodeCfg farmem.NodeConfig
-	// Planner customizes Mira's planning (budget is overridden by
-	// Budget).
+	// Planner customizes Mira's planning. Harness always sets the budget,
+	// far-memory backend and the knobs it exposes itself (Net, NodeCfg,
+	// Cluster, Compress, Offload, OffloadChunk, Plane, WritebackQueueLines,
+	// Trace), so only the remaining fields — MaxIterations, SampleRatios,
+	// Techniques and the like — are honoured here.
 	Planner planner.Options
 	// Verify checks workload output after the run when the workload
 	// implements workload.Verifier.
@@ -168,6 +171,64 @@ func (o Options) clusterOpts(withFaults bool) *cluster.Options {
 	return co
 }
 
+// backend routes the run's fault schedule and resilience policy onto cfg —
+// the one place every system's timed-run backend is assembled. A
+// single-node run carries both at the top level; a cluster run replaces
+// cfg.Cluster with clusterOpts(true), which moves the schedule into
+// FaultNode's fault domain and the policy into Cluster.Policy.
+func (o Options) backend(cfg rt.Config) rt.Config {
+	cfg.Faults, cfg.Resilience = o.Faults, o.Resilience
+	if co := o.clusterOpts(true); co != nil {
+		cfg.Cluster, cfg.Faults = co, nil
+	}
+	return cfg
+}
+
+// swapOptions is the backend a page-swap baseline runs on: the budget and
+// interconnect plus the routed faults, resilience and cluster.
+func (o Options) swapOptions() fastswap.Options {
+	b := o.backend(rt.Config{})
+	return fastswap.Options{
+		LocalBudget: o.Budget, Net: o.Net, NodeCfg: o.NodeCfg,
+		Faults: b.Faults, Resilience: b.Resilience, Cluster: b.Cluster,
+	}
+}
+
+// plannerOpts is the one place harness settings reach the planner: the
+// budget, the fault-free backend (planning is offline), and every
+// planner-facing knob harness exposes. NoBatching masks the batching
+// technique.
+func (o Options) plannerOpts() planner.Options {
+	p := o.Planner
+	p.LocalBudget = o.Budget
+	p.Net, p.NodeCfg, p.Cluster = o.Net, o.NodeCfg, o.clusterOpts(false)
+	p.Compress, p.Offload, p.OffloadChunk, p.Plane = o.Compress, o.Offload, o.OffloadChunk, o.Plane
+	p.WritebackQueueLines = o.wbqLines()
+	p.Trace = o.Trace
+	if o.NoBatching {
+		if p.Techniques == (planner.TechniqueMask{}) {
+			p.Techniques = planner.DefaultTechniques()
+		}
+		p.Techniques.NoBatching = true
+	}
+	return p
+}
+
+// load binds prog to a fresh runtime under cfg and loads w's data.
+func load(w workload.Workload, prog *ir.Program, cfg rt.Config, nodeCfg farmem.NodeConfig) (*rt.Runtime, error) {
+	r, err := rt.New(cfg, farmem.NewNode(nodeCfg))
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Bind(prog); err != nil {
+		return nil, err
+	}
+	if err := w.Init(r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // Result is one run's outcome.
 type Result struct {
 	System System
@@ -207,10 +268,10 @@ type Result struct {
 	DemandMisses int64
 }
 
+// withDefaults fills in the far node: cluster.New reads its capacity into
+// the per-node stats before farmem.NewNode would default it. (rt.New and
+// the planner default a zero Net themselves.)
 func (o Options) withDefaults() Options {
-	if o.Net.BytesPerSecond == 0 {
-		o.Net = netmodel.DefaultConfig()
-	}
 	if o.NodeCfg.Capacity == 0 {
 		o.NodeCfg = farmem.DefaultNodeConfig()
 	}
@@ -260,26 +321,15 @@ func Run(sys System, w workload.Workload, opts Options) (Result, error) {
 // workload's original would silently drop the compiled-in prefetch and
 // eviction instrumentation.
 func runRT(sys System, w workload.Workload, prog *ir.Program, r *rt.Runtime, opts Options) (Result, error) {
-	r.SetTrace(opts.Trace)
-	ex, err := exec.New(prog, r, exec.Options{Params: w.Params()})
+	t, err := execute(sys, w, prog, r, opts)
 	if err != nil {
 		return Result{}, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return Result{}, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return Result{}, err
-	}
-	if err := verify(w, r, opts); err != nil {
-		return Result{}, fmt.Errorf("harness: %s: %w", sys, err)
 	}
 	ns := r.NetStats()
 	moved := r.Link().BytesMoved()
 	return Result{
 		System:         sys,
-		Time:           clk.Now().Sub(0),
+		Time:           t,
 		Net:            ns,
 		Cluster:        r.ClusterStats(),
 		Messages:       r.Link().Messages(),
@@ -289,6 +339,36 @@ func runRT(sys System, w workload.Workload, prog *ir.Program, r *rt.Runtime, opt
 		Prefetch:       r.PrefetchStats(),
 		DemandMisses:   r.MissCount(),
 	}, nil
+}
+
+// backendRun is what the timed run needs of a system's backend beyond
+// exec.Backend: tracing, a final flush and the dump verification reads.
+type backendRun interface {
+	exec.Backend
+	workload.ObjectDumper
+	SetTrace(*trace.Tracer)
+	FlushAll(*sim.Clock) error
+}
+
+// execute is the timed run every system shares: trace attached, prog run
+// to completion over be, dirty state flushed, output verified.
+func execute(sys System, w workload.Workload, prog *ir.Program, be backendRun, opts Options) (sim.Duration, error) {
+	be.SetTrace(opts.Trace)
+	ex, err := exec.New(prog, be, exec.Options{Params: w.Params()})
+	if err != nil {
+		return 0, err
+	}
+	clk := sim.NewClock(0)
+	if _, err := ex.Run(clk); err != nil {
+		return 0, err
+	}
+	if err := be.FlushAll(clk); err != nil {
+		return 0, err
+	}
+	if err := verify(w, be, opts); err != nil {
+		return 0, fmt.Errorf("harness: %s: %w", sys, err)
+	}
+	return clk.Now().Sub(0), nil
 }
 
 func verify(w workload.Workload, d workload.ObjectDumper, opts Options) error {
@@ -314,20 +394,8 @@ func runNative(w workload.Workload, opts Options) (Result, error) {
 	for _, o := range prog.Objects {
 		full += o.SizeBytes()
 	}
-	cfg := rt.Config{
-		LocalBudget: full + (1 << 20),
-		Placements:  placements,
-		Net:         opts.Net,
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	r, err := load(w, prog, rt.Config{LocalBudget: full + (1 << 20), Placements: placements, Net: opts.Net}, opts.NodeCfg)
 	if err != nil {
-		return Result{}, err
-	}
-	if err := r.Bind(prog); err != nil {
-		return Result{}, err
-	}
-	if err := w.Init(r); err != nil {
 		return Result{}, err
 	}
 	return runRT(Native, w, prog, r, opts)
@@ -336,40 +404,8 @@ func runNative(w workload.Workload, opts Options) (Result, error) {
 // runMira plans (or, for MiraSwap, stops at iteration 0) and reports the
 // accepted configuration's time.
 func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
-	popts := opts.Planner
-	popts.LocalBudget = opts.Budget
-	if popts.Net.BytesPerSecond == 0 {
-		popts.Net = opts.Net
-	}
-	if popts.NodeCfg.Capacity == 0 {
-		popts.NodeCfg = opts.NodeCfg
-	}
-	if sys == MiraSwap {
-		popts.DisableSeparation = true
-	}
-	if opts.Plane != "" {
-		popts.Plane = opts.Plane
-	}
-	popts.WritebackQueueLines = opts.wbqLines()
-	if opts.Compress != "" {
-		popts.Compress = opts.Compress
-	}
-	if opts.Offload != "" {
-		popts.Offload = opts.Offload
-	}
-	if opts.OffloadChunk != 0 {
-		popts.OffloadChunk = opts.OffloadChunk
-	}
-	if opts.NoBatching {
-		if popts.Techniques == (planner.TechniqueMask{}) {
-			popts.Techniques = planner.DefaultTechniques()
-		}
-		popts.Techniques.NoBatching = true
-	}
-	if co := opts.clusterOpts(false); co != nil {
-		popts.Cluster = co
-	}
-	popts.Trace = opts.Trace
+	popts := opts.plannerOpts()
+	popts.DisableSeparation = popts.DisableSeparation || sys == MiraSwap
 	res, err := planner.Plan(w, popts)
 	if err != nil {
 		return Result{}, err
@@ -379,22 +415,8 @@ func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 	// (planning itself is always fault-free — an offline activity), or to
 	// trace it (the planner's internal runs are not instrumented).
 	if opts.Verify || opts.faultsEnabled() || opts.Trace != nil {
-		node := farmem.NewNode(popts.NodeCfg)
-		cfg := res.Config
-		cfg.Faults = opts.Faults
-		cfg.Resilience = opts.Resilience
-		if co := opts.clusterOpts(true); co != nil {
-			cfg.Cluster = co
-			cfg.Faults = nil // per-node fault domains live in Cluster.Faults
-		}
-		r, err := rt.New(cfg, node)
+		r, err := load(w, res.Program, opts.backend(res.Config), opts.NodeCfg)
 		if err != nil {
-			return Result{}, err
-		}
-		if err := r.Bind(res.Program); err != nil {
-			return Result{}, err
-		}
-		if err := w.Init(r); err != nil {
 			return Result{}, err
 		}
 		rres, err := runRT(sys, w, res.Program, r, opts)
@@ -411,27 +433,17 @@ func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 }
 
 func runSwapBaseline(sys System, w workload.Workload, opts Options) (Result, error) {
+	so := opts.swapOptions()
 	var r *rt.Runtime
 	var err error
 	if sys == FastSwap {
-		fopts := fastswap.Options{
-			LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg,
-			Faults: opts.Faults, Resilience: opts.Resilience,
-		}
-		if co := opts.clusterOpts(true); co != nil {
-			fopts.Cluster, fopts.Faults = co, nil
-		}
-		r, err = fastswap.New(w, fopts)
+		r, err = fastswap.New(w, so)
 	} else {
-		lopts := leap.Options{
-			LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg,
-			Faults: opts.Faults, Resilience: opts.Resilience,
+		r, err = leap.New(w, leap.Options{
+			LocalBudget: so.LocalBudget, Net: so.Net, NodeCfg: so.NodeCfg,
+			Faults: so.Faults, Resilience: so.Resilience, Cluster: so.Cluster,
 			NoBatching: opts.NoBatching,
-		}
-		if co := opts.clusterOpts(true); co != nil {
-			lopts.Cluster, lopts.Faults = co, nil
-		}
-		r, err = leap.New(w, lopts)
+		})
 	}
 	if err != nil {
 		return Result{}, err
@@ -455,20 +467,9 @@ func runAIFM(w workload.Workload, opts Options) (Result, error) {
 		// reports, not a harness error.
 		return Result{System: AIFM, Failed: true, FailReason: err.Error()}, nil
 	}
-	r.SetTrace(opts.Trace)
-	ex, err := exec.New(w.Program(), r, exec.Options{Params: w.Params()})
+	t, err := execute(AIFM, w, w.Program(), r, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return Result{}, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return Result{}, err
-	}
-	if err := verify(w, r, opts); err != nil {
-		return Result{}, fmt.Errorf("harness: aifm: %w", err)
-	}
-	return Result{System: AIFM, Time: clk.Now().Sub(0), Net: r.NetStats()}, nil
+	return Result{System: AIFM, Time: t, Net: r.NetStats()}, nil
 }

@@ -21,10 +21,8 @@ import (
 	"mira/internal/analysis"
 	"mira/internal/baselines/fastswap"
 	"mira/internal/codegen"
-	"mira/internal/farmem"
 	"mira/internal/planner"
 	"mira/internal/prefetch"
-	"mira/internal/rt"
 	"mira/internal/sim"
 	"mira/internal/swap"
 	"mira/internal/workload"
@@ -39,57 +37,26 @@ func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 	if spec.Policy == prefetch.Compiled {
 		return Result{}, fmt.Errorf("harness: policy %q has no page-plane arm", spec.Policy)
 	}
-	prog := w.Program()
-	var local int64
-	for _, o := range prog.Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
-	pool := opts.Budget - local
-	if pool <= 0 {
-		return Result{}, fmt.Errorf("harness: local objects (%d bytes) exceed budget %d", local, opts.Budget)
-	}
-	cfg := rt.Config{
-		LocalBudget: opts.Budget,
-		SwapPool:    pool,
-		Placements:  map[string]rt.Placement{},
-		Net:         opts.Net,
-		SwapCfg: swap.Config{
-			MajorFaultOverhead: 4500 * sim.Nanosecond,
-			MinorFaultOverhead: 1000 * sim.Nanosecond,
-			BatchPrefetch:      !opts.NoBatching,
-		},
-		Faults:              opts.Faults,
-		Resilience:          opts.Resilience,
-		WritebackQueueLines: opts.wbqLines(),
-	}
-	if co := opts.clusterOpts(true); co != nil {
-		cfg.Cluster, cfg.Faults = co, nil
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	r, err := fastswap.Datapath(w, opts.swapOptions(), swap.Config{
+		MajorFaultOverhead: 4500 * sim.Nanosecond,
+		BatchPrefetch:      !opts.NoBatching,
+	}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := r.Bind(prog); err != nil {
-		return Result{}, err
-	}
+	prog := w.Program()
 	var program []int64
 	if spec.Policy == "programmed" {
 		// Lower the IR's access phases to page numbers; swap-placed
 		// objects only (everything here).
 		program = analysis.LowerPhases(analysis.AccessProgram(prog), r.PageUnit)
-		spec.Window = clampWindow(spec.Window, int(pool/swap.PageBytes))
+		spec.Window = clampWindow(spec.Window, int(r.Config().SwapPool/swap.PageBytes))
 	}
 	pol, err := prefetch.Build(spec, program)
 	if err != nil {
 		return Result{}, err
 	}
 	r.SwapPrefetcher(prefetch.PageAdapter{P: pol})
-	if err := w.Init(r); err != nil {
-		return Result{}, err
-	}
 	return runRT(System("page/"+spec.Policy), w, prog, r, opts)
 }
 
@@ -125,18 +92,9 @@ func RunLinePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 // readahead in every cell so only the section policies differ.
 func RunLinePolicies(w workload.Workload, opts Options, specs []prefetch.Spec) ([]Result, error) {
 	opts = opts.withDefaults()
-	popts := opts.Planner
-	popts.LocalBudget = opts.Budget
-	if popts.Net.BytesPerSecond == 0 {
-		popts.Net = opts.Net
-	}
-	if popts.NodeCfg.Capacity == 0 {
-		popts.NodeCfg = opts.NodeCfg
-	}
-	popts.WritebackQueueLines = opts.wbqLines()
-	if co := opts.clusterOpts(false); co != nil {
-		popts.Cluster = co
-	}
+	popts := opts.plannerOpts()
+	// The cells share one plan; only their own runs are traced.
+	popts.Trace = nil
 	pres, err := planner.Plan(w, popts)
 	if err != nil {
 		return nil, err
@@ -239,18 +197,8 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 			return Result{}, err
 		}
 	}
-	cfg := pres.Config
-	cfg.Faults = opts.Faults
-	cfg.Resilience = opts.Resilience
-	if co := opts.clusterOpts(true); co != nil {
-		cfg.Cluster, cfg.Faults = co, nil
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	r, err := load(w, prog, opts.backend(pres.Config), opts.NodeCfg)
 	if err != nil {
-		return Result{}, err
-	}
-	if err := r.Bind(prog); err != nil {
 		return Result{}, err
 	}
 	// Match the planner's timing environment on the swap pool in every
@@ -279,9 +227,6 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 				return Result{}, err
 			}
 		}
-	}
-	if err := w.Init(r); err != nil {
-		return Result{}, err
 	}
 	res, err := runRT(System("line/"+spec.Policy), w, prog, r, opts)
 	if err != nil {

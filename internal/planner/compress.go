@@ -1,12 +1,8 @@
 package planner
 
 import (
-	"fmt"
-
 	"mira/internal/analysis"
 	"mira/internal/rt"
-	"mira/internal/sim"
-	"mira/internal/trace"
 )
 
 // compressSampler captures each object's sampled compressibility during an
@@ -97,40 +93,24 @@ func sameCompressFlags(a, b rt.Config) bool {
 // same measured accept/rollback the iterations use. The incumbent only ever
 // loses to a faster candidate, so auto is never slower than off; all-on is
 // always among the candidates, so auto is never slower than on either.
-func compressAuto(w Workload, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
-	ratios := sampleCompressibility(w)
+func (s *session) compressAuto() {
+	res := s.res
+	ratios := sampleCompressibility(s.w)
 	screened := withCompressFlags(res.Config,
 		func(i int) bool { return sectionCompressible(res.Config, i, ratios) },
 		swapCompressible(res.Config, ratios))
 	allOn := withCompressFlags(res.Config, func(int) bool { return true }, true)
 
-	type candidate struct {
-		name string
-		cfg  rt.Config
+	try := func(name string, cfg rt.Config) {
+		s.race(candidate{
+			prog: res.Program, cfg: cfg, plan: res.Plan,
+			span: "compress " + name, rejected: "compress." + name + " rejected",
+		})
 	}
-	var cands []candidate
 	if !sameCompressFlags(screened, res.Config) {
-		cands = append(cands, candidate{"screened", screened})
+		try("screened", screened)
 	}
 	if !sameCompressFlags(allOn, screened) {
-		cands = append(cands, candidate{"all-on", allOn})
+		try("all-on", allOn)
 	}
-	for _, c := range cands {
-		t, _, err := runOnce(w, res.Program, c.cfg, opts, true)
-		if err != nil {
-			ptrc.Instant(cursor, "planner", fmt.Sprintf("compress.%s rejected", c.name))
-			continue
-		}
-		verdict := "rolled-back"
-		if t < res.FinalTime {
-			verdict = "accepted"
-			res.FinalTime = t
-			res.Config = c.cfg
-		}
-		end := cursor.Add(t)
-		ptrc.Span(cursor, end, "planner", fmt.Sprintf("compress %s", c.name),
-			trace.I("time_ns", int64(t)), trace.S("result", verdict))
-		cursor = end
-	}
-	return cursor
 }

@@ -5,11 +5,8 @@ import (
 	"sort"
 
 	"mira/internal/analysis"
-	"mira/internal/baselines/fastswap"
 	"mira/internal/cache"
 	"mira/internal/codegen"
-	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/profile"
@@ -687,28 +684,8 @@ func sampleRun(w Workload, compiled, prog *ir.Program, all []*sectionDraft, nonS
 		}
 	}
 	cfg := assembleConfig(prog, all, merged, pool, opts)
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	r, clk, err := execute(w, compiled, cfg, opts, nil)
 	if err != nil {
-		return 0, err
-	}
-	if err := r.Bind(compiled); err != nil {
-		return 0, err
-	}
-	r.SwapPrefetcher(fastswap.Readahead{N: 2})
-	if err := w.Init(r); err != nil {
-		return 0, err
-	}
-	ex, err := exec.New(compiled, r, exec.Options{
-		ComputeOp: opts.Cost.ComputeOp,
-		FloatOp:   opts.Cost.FloatOp,
-		Params:    w.Params(),
-	})
-	if err != nil {
-		return 0, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
 		return 0, err
 	}
 	total := clk.Now().Sub(0)
@@ -758,16 +735,11 @@ func assembleConfig(prog *ir.Program, drafts []*sectionDraft, merged map[string]
 			pool = 0
 		}
 	}
-	cfg := rt.Config{
-		LocalBudget:         opts.LocalBudget,
-		SwapPool:            pool,
-		Placements:          map[string]rt.Placement{},
-		Cost:                opts.Cost,
-		Net:                 opts.Net,
-		Cluster:             opts.Cluster,
-		WritebackQueueLines: opts.WritebackQueueLines,
-		SwapCompress:        opts.Compress == "on",
-	}
+	cfg := withPlannerKnobs(rt.Config{
+		LocalBudget: opts.LocalBudget,
+		SwapPool:    pool,
+		Placements:  map[string]rt.Placement{},
+	}, opts)
 	for i, d := range drafts {
 		size := d.sizeBytes
 		if size < int64(d.lineBytes) {

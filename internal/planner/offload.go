@@ -8,7 +8,6 @@ import (
 	"mira/internal/codegen"
 	"mira/internal/ir"
 	"mira/internal/rt"
-	"mira/internal/sim"
 	"mira/internal/trace"
 )
 
@@ -114,33 +113,66 @@ func scatterPlacements(prog *ir.Program, cfg rt.Config, funcs []string) (rt.Conf
 }
 
 // offloadPhase runs after every other planning decision settled. It
-// mutates res (Program/Config/Plan/FinalTime/Offloaded) only when a
-// candidate is accepted, and returns the advanced trace cursor.
-func offloadPhase(w Workload, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
+// changes the result (Program/Config/Plan/FinalTime/Offloaded) only when a
+// candidate is accepted.
+func (s *session) offloadPhase() {
+	opts, res := s.opts, s.res
 	if opts.Offload == "" || opts.Offload == "off" {
-		return cursor
+		return
 	}
 	cands := offloadCandidates(res.Program)
 	if len(cands) == 0 {
-		ptrc.Instant(cursor, "planner", "offload.no-candidates")
-		return cursor
+		s.ptrc.Instant(s.cursor, "planner", "offload.no-candidates")
+		return
 	}
 
-	type combo struct {
-		name    string
-		funcs   []string
-		scatter bool // stripe the driving objects across the cluster
+	// Every candidate compiles from the settled plan, not from an earlier
+	// accepted candidate: the "all" combination is then byte-identical to
+	// what Offload="on" produces, which is what makes auto <= on hold by
+	// construction.
+	baseProg, baseCfg, basePlan := res.Program, res.Config, res.Plan
+	try := func(name string, funcs []string, scatter bool) {
+		rejected := fmt.Sprintf("offload.%s rejected", name)
+		compiled, err := markOffloaded(baseProg, funcs)
+		if err != nil {
+			s.ptrc.Instant(s.cursor, "planner", rejected)
+			return
+		}
+		cfg := baseCfg
+		cfg.OffloadChunk = opts.OffloadChunk
+		if scatter {
+			var ok bool
+			if cfg, ok = scatterPlacements(baseProg, cfg, funcs); !ok {
+				return
+			}
+		}
+		plan := *basePlan
+		plan.Offload = make(map[string]bool, len(funcs))
+		for _, f := range funcs {
+			plan.Offload[f] = true
+		}
+		// "on" forces the all-candidates configuration (its scatter
+		// variant still has to win on time); "auto" keeps a candidate
+		// only when it strictly beats the incumbent.
+		if _, _, accepted, _ := s.race(candidate{
+			prog: compiled, cfg: cfg, plan: &plan,
+			force:    opts.Offload == "on" && name == "all",
+			span:     "offload " + name,
+			args:     []trace.Arg{trace.I("funcs", int64(len(funcs)))},
+			rejected: rejected,
+		}); accepted {
+			res.Offloaded = append([]string(nil), funcs...)
+		}
 	}
-	var combos []combo
 	add := func(name string, funcs []string) {
-		combos = append(combos, combo{name, funcs, false})
+		try(name, funcs, false)
 		if opts.Cluster != nil && opts.Cluster.Nodes > 1 {
 			// Sections are placed whole on one node, so a sectioned
 			// driving object yields a single sub-offload. The scatter
 			// variant returns it to the striped swap heap: slower to
 			// fetch, but the engine can then split the function across
 			// every node that owns a stripe.
-			combos = append(combos, combo{name + "+scatter", funcs, true})
+			try(name+"+scatter", funcs, true)
 		}
 	}
 	if opts.Offload == "auto" && len(cands) > 1 {
@@ -149,58 +181,4 @@ func offloadPhase(w Workload, res *Result, opts Options, ptrc *trace.Buffer, cur
 		}
 	}
 	add("all", cands)
-
-	// Every candidate compiles from the settled plan, not from an earlier
-	// accepted candidate: the "all" combination is then byte-identical to
-	// what Offload="on" produces, which is what makes auto <= on hold by
-	// construction.
-	baseProg, baseCfg := res.Program, res.Config
-	for _, c := range combos {
-		compiled, err := markOffloaded(baseProg, c.funcs)
-		if err != nil {
-			ptrc.Instant(cursor, "planner", fmt.Sprintf("offload.%s rejected", c.name))
-			continue
-		}
-		cfg := baseCfg
-		cfg.OffloadChunk = opts.OffloadChunk
-		if c.scatter {
-			scattered, ok := scatterPlacements(baseProg, cfg, c.funcs)
-			if !ok {
-				continue
-			}
-			cfg = scattered
-		}
-		t, _, err := runOnce(w, compiled, cfg, opts, true)
-		if err != nil {
-			ptrc.Instant(cursor, "planner", fmt.Sprintf("offload.%s rejected", c.name))
-			continue
-		}
-		// "on" forces the all-candidates configuration (its scatter
-		// variant still has to win on time); "auto" keeps a candidate
-		// only when it strictly beats the incumbent.
-		accept := t < res.FinalTime || (opts.Offload == "on" && c.name == "all")
-		verdict := "rolled-back"
-		if accept {
-			verdict = "accepted"
-			res.FinalTime = t
-			res.Program = compiled
-			res.Config = cfg
-			res.Offloaded = append([]string(nil), c.funcs...)
-			if res.Plan != nil {
-				plan := *res.Plan
-				plan.Offload = make(map[string]bool, len(c.funcs))
-				for _, f := range c.funcs {
-					plan.Offload[f] = true
-				}
-				res.Plan = &plan
-			}
-		}
-		end := cursor.Add(t)
-		ptrc.Span(cursor, end, "planner", fmt.Sprintf("offload %s", c.name),
-			trace.I("funcs", int64(len(c.funcs))),
-			trace.I("time_ns", int64(t)),
-			trace.S("result", verdict))
-		cursor = end
-	}
-	return cursor
 }

@@ -9,7 +9,6 @@ import (
 	"mira/internal/ir"
 	"mira/internal/profile"
 	"mira/internal/rt"
-	"mira/internal/sim"
 	"mira/internal/trace"
 )
 
@@ -148,61 +147,31 @@ func classifiedCandidate(cfg rt.Config, report *analysis.Report) *rt.Config {
 // "hybrid" only ever accepts improvements. Because hybrid's baseline IS the
 // page arm's result and its line candidate comes from the same helper as
 // the line arm's, hybrid's final time is <= min(page, line) by construction.
-func planeRace(w Workload, prog *ir.Program, res *Result, col *profile.Collector, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
-	lineCfg, linePlan, lineProg, report, err := lineCandidate(w, prog, col, opts)
+func (s *session) planeRace(prog *ir.Program, col *profile.Collector) {
+	lineCfg, linePlan, lineProg, report, err := lineCandidate(s.w, prog, col, s.opts)
 	if err != nil {
 		// No feasible line configuration at this budget: the page baseline
 		// stands for every mode.
-		ptrc.Instant(cursor, "planner", "plane.line infeasible",
+		s.ptrc.Instant(s.cursor, "planner", "plane.line infeasible",
 			trace.S("err", err.Error()))
-		return cursor
+		return
 	}
-	res.Report = report
-	t, _, err := runOnce(w, lineProg, lineCfg, opts, true)
-	if err != nil {
-		ptrc.Instant(cursor, "planner", "plane.line runtime-rejected",
-			trace.S("err", err.Error()))
-		return cursor
-	}
-	verdict := "rolled-back"
-	if opts.Plane == "line" || t < res.FinalTime {
-		verdict = "accepted"
-		res.FinalTime = t
-		res.Config = lineCfg
-		res.Plan = linePlan
-		res.Program = lineProg
-	}
-	end := cursor.Add(t)
-	ptrc.Span(cursor, end, "planner", "plane line",
-		trace.I("time_ns", int64(t)), trace.S("result", verdict))
-	cursor = end
-
-	if opts.Plane != "hybrid" {
-		return cursor
+	s.res.Report = report
+	if _, _, _, err := s.race(candidate{
+		prog: lineProg, cfg: lineCfg, plan: linePlan, force: s.opts.Plane == "line",
+		span: "plane line", rejected: "plane.line runtime-rejected", rejErr: true,
+	}); err != nil || s.opts.Plane != "hybrid" {
+		return
 	}
 	split := classifiedCandidate(lineCfg, report)
 	if split == nil {
-		ptrc.Instant(cursor, "planner", "plane.split unchanged")
-		return cursor
+		s.ptrc.Instant(s.cursor, "planner", "plane.split unchanged")
+		return
 	}
-	t, _, err = runOnce(w, lineProg, *split, opts, true)
-	if err != nil {
-		ptrc.Instant(cursor, "planner", "plane.split runtime-rejected",
-			trace.S("err", err.Error()))
-		return cursor
-	}
-	verdict = "rolled-back"
-	if t < res.FinalTime {
-		verdict = "accepted"
-		res.FinalTime = t
-		res.Config = *split
-		res.Plan = linePlan
-		res.Program = lineProg
-	}
-	end = cursor.Add(t)
-	ptrc.Span(cursor, end, "planner", "plane split",
-		trace.I("time_ns", int64(t)), trace.S("result", verdict))
-	return end
+	s.race(candidate{
+		prog: lineProg, cfg: *split, plan: linePlan,
+		span: "plane split", rejected: "plane.split runtime-rejected", rejErr: true,
+	})
 }
 
 // planeAssignment reports which plane the accepted configuration serves each

@@ -160,15 +160,12 @@ type Result struct {
 // Plan runs the full iterative flow for one workload.
 func Plan(w Workload, opts Options) (*Result, error) {
 	opts = withDefaults(opts)
-	switch opts.Compress {
-	case "", "off", "on", "auto":
-	default:
-		return nil, fmt.Errorf("planner: unknown Compress mode %q (want off, on, or auto)", opts.Compress)
-	}
-	switch opts.Offload {
-	case "", "off", "on", "auto":
-	default:
-		return nil, fmt.Errorf("planner: unknown Offload mode %q (want off, on, or auto)", opts.Offload)
+	for _, m := range [][2]string{{"Compress", opts.Compress}, {"Offload", opts.Offload}} {
+		switch m[1] {
+		case "", "off", "on", "auto":
+		default:
+			return nil, fmt.Errorf("planner: unknown %s mode %q (want off, on, or auto)", m[0], m[1])
+		}
 	}
 	if err := validatePlane(opts); err != nil {
 		return nil, err
@@ -205,38 +202,40 @@ func Plan(w Workload, opts Options) (*Result, error) {
 	res.Plan = &codegen.Plan{}
 
 	// Planner spans live on a cumulative timeline: the baseline run, then
-	// each iteration's timing run back to back. Each timed run starts its
+	// each candidate's timing run back to back. Each timed run starts its
 	// own virtual clock at zero, so the cursor stitches them into one
 	// readable track.
-	ptrc := opts.Trace.Buffer("planner")
-	cursor := sim.Time(0).Add(baseTime)
-	ptrc.Span(0, cursor, "planner", "baseline",
+	s := &session{w: w, opts: opts, res: res, ptrc: opts.Trace.Buffer("planner"), cursor: sim.Time(0).Add(baseTime)}
+	s.ptrc.Span(0, s.cursor, "planner", "baseline",
 		trace.I("time_ns", int64(baseTime)))
 
-	if opts.DisableSeparation {
-		cursor = offloadPhase(w, res, opts, ptrc, cursor)
-		if opts.Compress == "auto" {
-			compressAuto(w, res, opts, ptrc, cursor)
-		}
-		if opts.Plane != "" {
-			res.Planes = planeAssignment(prog, res.Config)
-		}
-		return res, nil
-	}
-	if opts.Plane != "" {
+	switch {
+	case opts.DisableSeparation:
+		// The swap-only baseline is the structural plan.
+	case opts.Plane != "":
 		// Plane modes replace the structural iterations: race the line
 		// candidate (and hybrid's classified split) against the page
-		// baseline, then let compression tune whichever plane split won.
-		cursor = planeRace(w, prog, res, baseCol, opts, ptrc, cursor)
-		cursor = offloadPhase(w, res, opts, ptrc, cursor)
-		if opts.Compress == "auto" {
-			compressAuto(w, res, opts, ptrc, cursor)
+		// baseline.
+		s.planeRace(prog, baseCol)
+	default:
+		if err := s.iterate(prog, baseCol); err != nil {
+			return nil, err
 		}
-		res.Planes = planeAssignment(prog, res.Config)
-		return res, nil
 	}
+	// Offload and compression then tune whatever plan settled.
+	s.offloadPhase()
+	if opts.Compress == "auto" {
+		s.compressAuto()
+	}
+	if opts.Plane != "" {
+		res.Planes = planeAssignment(prog, res.Config)
+	}
+	return res, nil
+}
 
-	col := baseCol
+// iterate is the structural profiling-optimization loop (§3, §4.1).
+func (s *session) iterate(prog *ir.Program, col *profile.Collector) error {
+	opts, res := s.opts, s.res
 	// The analysis scope accumulates across iterations (§4.1: top 10%,
 	// then 20%, …): once a function or object is selected it stays
 	// selected, even if sectioning it dropped its profiled overhead out
@@ -261,80 +260,117 @@ func Plan(w Workload, opts Options) (*Result, error) {
 		}
 		report, err := analysis.Analyze(prog, funcs, objs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Report = report
 
-		cfg, plan, offloaded, err := buildConfig(w, prog, report, objs, col, opts)
+		rec := Iteration{Index: iter, FuncFrac: frac, Funcs: funcs, Objects: objs}
+		cfg, plan, offloaded, err := buildConfig(s.w, prog, report, objs, col, opts)
 		if err != nil {
 			// No feasible sectioned configuration at this scope (tiny
 			// budgets can be unable to host any section beyond the
 			// swap pool). The candidate is rejected; the last accepted
 			// compilation — at worst iteration 0's swap config —
 			// stands (§4.1's rollback).
-			res.Iterations = append(res.Iterations, Iteration{
-				Index: iter, FuncFrac: frac, Funcs: funcs, Objects: objs,
-			})
-			ptrc.Instant(cursor, "planner", "iter.infeasible",
+			res.Iterations = append(res.Iterations, rec)
+			s.ptrc.Instant(s.cursor, "planner", "iter.infeasible",
 				trace.I("iter", int64(iter)))
 			continue
 		}
 		compiled, err := codegen.Apply(prog, plan)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t, newCol, err := runOnce(w, compiled, cfg, opts, true)
-		rec := Iteration{
-			Index:     iter,
-			FuncFrac:  frac,
-			Funcs:     funcs,
-			Objects:   objs,
-			NumSecs:   len(cfg.Sections),
-			Offloaded: offloaded,
-		}
-		if err != nil {
-			// A candidate the runtime rejects (e.g. line floors pushed
-			// the carve-up past the budget) is a rejected iteration,
-			// not a planning failure.
-			res.Iterations = append(res.Iterations, rec)
-			ptrc.Instant(cursor, "planner", "iter.runtime-rejected",
-				trace.I("iter", int64(iter)))
-			continue
-		}
-		rec.Time = t
-		// Accept or roll back (§4.1 "we roll back to the previous
-		// iteration's configuration").
-		if t < res.FinalTime {
-			rec.Accepted = true
-			res.FinalTime = t
-			res.Config = cfg
-			res.Plan = plan
-			res.Program = compiled
-			col = newCol
-		}
-		res.Iterations = append(res.Iterations, rec)
-		if ptrc != nil {
-			verdict := "rolled-back"
-			if rec.Accepted {
-				verdict = "accepted"
-			}
-			end := cursor.Add(t)
-			ptrc.Span(cursor, end, "planner", fmt.Sprintf("iteration %d", iter),
+		rec.NumSecs, rec.Offloaded = len(cfg.Sections), offloaded
+		// A candidate the runtime rejects (e.g. line floors pushed the
+		// carve-up past the budget) is a rejected iteration, not a
+		// planning failure; a measured one is accepted or rolled back
+		// (§4.1 "we roll back to the previous iteration's
+		// configuration").
+		t, newCol, accepted, err := s.race(candidate{
+			prog: compiled, cfg: cfg, plan: plan,
+			span: fmt.Sprintf("iteration %d", iter),
+			args: []trace.Arg{
 				trace.I("frac_pct", int64(frac*100+0.5)),
 				trace.I("funcs", int64(len(funcs))),
 				trace.I("objs", int64(len(objs))),
 				trace.I("secs", int64(len(cfg.Sections))),
 				trace.I("offloaded", int64(len(offloaded))),
-				trace.I("time_ns", int64(t)),
-				trace.S("result", verdict))
-			cursor = end
+			},
+			rejected: "iter.runtime-rejected",
+			rejArgs:  []trace.Arg{trace.I("iter", int64(iter))},
+		})
+		if err == nil {
+			rec.Time, rec.Accepted = t, accepted
+			if accepted {
+				col = newCol
+			}
 		}
+		res.Iterations = append(res.Iterations, rec)
 	}
-	cursor = offloadPhase(w, res, opts, ptrc, cursor)
-	if opts.Compress == "auto" {
-		compressAuto(w, res, opts, ptrc, cursor)
+	return nil
+}
+
+// session is one Plan call's accept/rollback state: the workload and
+// options every candidate runs under, the incumbent result, and the
+// planner timeline's cursor.
+type session struct {
+	w      Workload
+	opts   Options
+	res    *Result
+	ptrc   *trace.Buffer
+	cursor sim.Time
+}
+
+// candidate is one configuration contending for the accepted plan, plus
+// how it appears on the planner timeline.
+type candidate struct {
+	prog *ir.Program
+	cfg  rt.Config
+	plan *codegen.Plan
+	// force accepts the candidate even when it is not faster: a mode
+	// whose meaning is "use this" (Plane="line", Offload="on").
+	force bool
+	// span names the candidate's timeline span; args precede its time_ns
+	// and verdict.
+	span string
+	args []trace.Arg
+	// rejected names the instant left when the runtime rejects the
+	// candidate, carrying rejArgs (plus the error when rejErr is set).
+	rejected string
+	rejArgs  []trace.Arg
+	rejErr   bool
+}
+
+// race is the planner's one accept/rollback rule (§3, §4.1), shared by
+// every planning axis: measure c, and make it the accepted plan only when
+// it strictly beats the incumbent or is forced. A measured candidate
+// leaves one span on the planner timeline; one the runtime rejects leaves
+// only its rejection instant and the result untouched. race returns the
+// measured time and profile, whether c was accepted, and the runtime's
+// error for a rejected candidate.
+func (s *session) race(c candidate) (sim.Duration, *profile.Collector, bool, error) {
+	t, col, err := runOnce(s.w, c.prog, c.cfg, s.opts, true)
+	if err != nil {
+		args := c.rejArgs
+		if c.rejErr {
+			args = append(args[:len(args):len(args)], trace.S("err", err.Error()))
+		}
+		s.ptrc.Instant(s.cursor, "planner", c.rejected, args...)
+		return 0, nil, false, err
 	}
-	return res, nil
+	accepted := c.force || t < s.res.FinalTime
+	verdict := "rolled-back"
+	if accepted {
+		verdict = "accepted"
+		s.res.FinalTime = t
+		s.res.Program, s.res.Config, s.res.Plan = c.prog, c.cfg, c.plan
+	}
+	end := s.cursor.Add(t)
+	s.ptrc.Span(s.cursor, end, "planner", c.span,
+		append(c.args[:len(c.args):len(c.args)], trace.I("time_ns", int64(t)), trace.S("result", verdict))...)
+	s.cursor = end
+	return t, col, accepted, nil
 }
 
 // sortedKeys returns a set's members in deterministic order.
@@ -383,25 +419,25 @@ func withDefaults(opts Options) Options {
 
 // swapOnlyConfig places every non-local object in the swap section.
 func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
-	local := localBytes(prog)
-	pool := opts.LocalBudget - local
-	if pool <= 0 {
-		return rt.Config{}, fmt.Errorf("planner: local objects (%d bytes) exceed budget %d", local, opts.LocalBudget)
+	cfg, err := rt.SwapOnly(prog, opts.LocalBudget)
+	if err != nil {
+		return rt.Config{}, fmt.Errorf("planner: %w", err)
 	}
-	return rt.Config{
-		LocalBudget:         opts.LocalBudget,
-		SwapPool:            pool,
-		Placements:          map[string]rt.Placement{},
-		Cost:                opts.Cost,
-		Net:                 opts.Net,
-		Cluster:             opts.Cluster,
-		WritebackQueueLines: opts.WritebackQueueLines,
-		SwapCompress:        opts.Compress == "on",
-		// Plane modes lay the whole heap out hybrid-style so objects can
-		// migrate between planes; all-swap hybrid layout is byte-identical
-		// to the classic one, so this never changes baseline timings.
-		Hybrid: opts.Plane != "",
-	}, nil
+	cfg = withPlannerKnobs(cfg, opts)
+	// Plane modes lay the whole heap out hybrid-style so objects can
+	// migrate between planes; all-swap hybrid layout is byte-identical to
+	// the classic one, so this never changes baseline timings.
+	cfg.Hybrid = opts.Plane != ""
+	return cfg, nil
+}
+
+// withPlannerKnobs copies the settings every emitted configuration shares
+// from opts onto cfg.
+func withPlannerKnobs(cfg rt.Config, opts Options) rt.Config {
+	cfg.Cost, cfg.Net, cfg.Cluster = opts.Cost, opts.Net, opts.Cluster
+	cfg.WritebackQueueLines = opts.WritebackQueueLines
+	cfg.SwapCompress = opts.Compress == "on"
+	return cfg
 }
 
 func localBytes(prog *ir.Program) int64 {
@@ -418,33 +454,9 @@ func localBytes(prog *ir.Program) int64 {
 // and the profile.
 func runOnce(w Workload, prog *ir.Program, cfg rt.Config, opts Options, profiling bool) (sim.Duration, *profile.Collector, error) {
 	cfg.Profiling = profiling
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := r.Bind(prog); err != nil {
-		return 0, nil, err
-	}
-	// The generic swap section behaves like a traditional swap system
-	// (§3 "the initial execution works almost the same as traditional
-	// page swap-based systems"), cluster readahead included.
-	r.SwapPrefetcher(fastswap.Readahead{N: 2})
-	if err := w.Init(r); err != nil {
-		return 0, nil, err
-	}
 	col := profile.NewCollector()
-	ex, err := exec.New(prog, r, exec.Options{
-		ComputeOp: opts.Cost.ComputeOp,
-		FloatOp:   opts.Cost.FloatOp,
-		Collector: col,
-		Params:    w.Params(),
-	})
+	r, clk, err := execute(w, prog, cfg, opts, col)
 	if err != nil {
-		return 0, nil, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
 		return 0, nil, err
 	}
 	if err := r.FlushAll(clk); err != nil {
@@ -461,6 +473,40 @@ func runOnce(w Workload, prog *ir.Program, cfg rt.Config, opts Options, profilin
 		DegradedTime: ns.DegradedTime, BackoffTime: ns.BackoffTime,
 	})
 	return clk.Now().Sub(0), col, nil
+}
+
+// execute is the timing run runOnce and sampleRun share: prog bound to a
+// fresh runtime under cfg, w's data loaded, and the program run to
+// completion (unflushed). col, when non-nil, receives the profile.
+func execute(w Workload, prog *ir.Program, cfg rt.Config, opts Options, col *profile.Collector) (*rt.Runtime, *sim.Clock, error) {
+	r, err := rt.New(cfg, farmem.NewNode(opts.NodeCfg))
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := r.Bind(prog); err != nil {
+		return nil, nil, err
+	}
+	// The generic swap section behaves like a traditional swap system
+	// (§3 "the initial execution works almost the same as traditional
+	// page swap-based systems"), cluster readahead included.
+	r.SwapPrefetcher(fastswap.Readahead{N: 2})
+	if err := w.Init(r); err != nil {
+		return nil, nil, err
+	}
+	ex, err := exec.New(prog, r, exec.Options{
+		ComputeOp: opts.Cost.ComputeOp,
+		FloatOp:   opts.Cost.FloatOp,
+		Collector: col,
+		Params:    w.Params(),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	clk := sim.NewClock(0)
+	if _, err := ex.Run(clk); err != nil {
+		return nil, nil, err
+	}
+	return r, clk, nil
 }
 
 // largestObjectsIn returns the largest frac of objects accessed by the

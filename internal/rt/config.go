@@ -6,6 +6,7 @@ import (
 	"mira/internal/cache"
 	"mira/internal/cluster"
 	"mira/internal/faults"
+	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/swap"
 	"mira/internal/transport"
@@ -126,6 +127,24 @@ type Config struct {
 	Hybrid bool
 }
 
+// SwapOnly returns the all-swap carve-up of budget for prog — the
+// configuration every page-swap system starts from: no cache sections, no
+// explicit placements (every far object pages through the swap section),
+// and a swap pool holding whatever prog's pinned local objects leave of the
+// budget.
+func SwapOnly(prog *ir.Program, budget int64) (Config, error) {
+	var local int64
+	for _, o := range prog.Objects {
+		if o.Local {
+			local += o.SizeBytes()
+		}
+	}
+	if budget <= local {
+		return Config{}, fmt.Errorf("local objects (%d bytes) exceed budget %d", local, budget)
+	}
+	return Config{LocalBudget: budget, SwapPool: budget - local, Placements: map[string]Placement{}}, nil
+}
+
 // Validate checks structural sanity and that the carve-up fits the budget.
 func (c Config) Validate() error {
 	if c.LocalBudget <= 0 {
@@ -176,7 +195,9 @@ func (c Config) writebackQueueLimit() int {
 	}
 }
 
-// DefaultSwapConfig fills in fault-path costs if the caller left them zero.
+// effectiveSwapCfg sizes the swap cache to pool and fills in whatever the
+// caller left zero in SwapCfg: the fault-path costs (from
+// swap.DefaultConfig) and the interconnect model (from Net).
 func (c Config) effectiveSwapCfg(pool int64) swap.Config {
 	sc := c.SwapCfg
 	sc.PoolBytes = pool
