@@ -51,9 +51,6 @@ func validateFlags(f runFlags) error {
 		if f.threadsActive() {
 			return fmt.Errorf("-plane does not combine with -threads (the multithreaded driver plans its own sections)")
 		}
-		if f.Nodes > 0 {
-			return fmt.Errorf("-plane uses the unified hybrid layout, which is single-node (drop -nodes)")
-		}
 	}
 	switch f.Offload {
 	case "", "off", "on", "auto":
@@ -66,9 +63,6 @@ func validateFlags(f runFlags) error {
 		}
 		if f.threadsActive() {
 			return fmt.Errorf("-offload does not combine with -threads (the multithreaded driver runs a fixed batch, not the planner)")
-		}
-		if f.Plane != "" {
-			return fmt.Errorf("-offload does not combine with -plane (plane modes are single-node; offload scatters across the cluster)")
 		}
 	}
 	if f.set("offload-chunk") {

@@ -13,8 +13,7 @@ import (
 )
 
 // validatePlane checks the Options.Plane mode against the rest of the
-// options. Every plane mode plans on the unified hybrid heap layout, which
-// is single-node; "line" and "hybrid" additionally need cache sections.
+// options: "line" and "hybrid" need cache sections.
 func validatePlane(opts Options) error {
 	switch opts.Plane {
 	case "", "page", "line", "hybrid":
@@ -23,9 +22,6 @@ func validatePlane(opts Options) error {
 	}
 	if opts.Plane == "" {
 		return nil
-	}
-	if opts.Cluster != nil {
-		return fmt.Errorf("planner: Plane=%q uses the unified hybrid layout, which is single-node (drop Cluster)", opts.Plane)
 	}
 	if opts.Plane != "page" && opts.DisableSeparation {
 		return fmt.Errorf("planner: Plane=%q needs cache sections, but DisableSeparation is set", opts.Plane)
@@ -59,7 +55,6 @@ func lineCandidate(w Workload, prog *ir.Program, col *profile.Collector, opts Op
 	if err != nil {
 		return rt.Config{}, nil, nil, nil, err
 	}
-	cfg.Hybrid = true
 	compiled, err := codegen.Apply(prog, plan)
 	if err != nil {
 		return rt.Config{}, nil, nil, nil, err

@@ -14,7 +14,6 @@ func TestPlaneModeValidation(t *testing.T) {
 		opts Options
 	}{
 		{"unknown", Options{Plane: "both"}},
-		{"cluster", Options{Plane: "hybrid", Cluster: &cluster.Options{Nodes: 2}}},
 		{"line-noseparation", Options{Plane: "line", DisableSeparation: true}},
 		{"hybrid-noseparation", Options{Plane: "hybrid", DisableSeparation: true}},
 	}
@@ -26,6 +25,13 @@ func TestPlaneModeValidation(t *testing.T) {
 	// page + DisableSeparation is fine: page IS the no-separation plan.
 	if _, err := Plan(w, Options{Plane: "page", DisableSeparation: true}); err != nil {
 		t.Errorf("page+DisableSeparation rejected: %v", err)
+	}
+	// Every plane mode composes with a cluster: placement is per section
+	// and per swap heap, whichever plane serves an object.
+	for _, mode := range []string{"page", "line", "hybrid"} {
+		if _, err := Plan(w, Options{Plane: mode, Cluster: &cluster.Options{Nodes: 2}}); err != nil {
+			t.Errorf("Plane=%s with a cluster rejected: %v", mode, err)
+		}
 	}
 }
 
@@ -46,9 +52,6 @@ func TestPlaneModesRace(t *testing.T) {
 		if res.Planes == nil {
 			t.Fatalf("Plane=%s: no plane assignment", mode)
 		}
-		if !res.Config.Hybrid {
-			t.Fatalf("Plane=%s: accepted config is not hybrid-layout", mode)
-		}
 		times[mode] = res
 		t.Logf("Plane=%s: final %v, planes %v", mode, res.FinalTime, res.Planes)
 	}
@@ -62,8 +65,8 @@ func TestPlaneModesRace(t *testing.T) {
 			t.Fatalf("Plane=page placed %s on the line plane", name)
 		}
 	}
-	// Pure-page on the hybrid layout must time exactly like the classic
-	// swap baseline: the all-swap layouts are byte-identical.
+	// Pure-page is the classic swap baseline: it must time exactly like
+	// it.
 	if bt := times["page"].BaselineTime; times["page"].FinalTime != bt {
 		t.Fatalf("page mode final %v != its baseline %v", times["page"].FinalTime, bt)
 	}
@@ -72,7 +75,7 @@ func TestPlaneModesRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if classic.BaselineTime != times["page"].BaselineTime {
-		t.Fatalf("hybrid-layout page baseline %v != classic swap baseline %v",
+		t.Fatalf("page-mode baseline %v != classic swap baseline %v",
 			times["page"].BaselineTime, classic.BaselineTime)
 	}
 	if classic.Planes != nil {

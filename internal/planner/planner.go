@@ -86,9 +86,8 @@ type Options struct {
 	// "page" serves everything from the paged swap plane, "line" forces the
 	// line-granular section plan, and "hybrid" races both and a per-object
 	// classified split (dense sequential/strided objects paged, sparse ones
-	// line-cached), accepting only improvements. All three modes plan on
-	// the unified hybrid heap layout (rt.Config.Hybrid), so a mid-run
-	// MigrateObject can move any far object between the planes.
+	// line-cached), accepting only improvements. Placement is fixed at plan
+	// time: nothing moves between planes mid-run.
 	Plane string
 	// Trace, when non-nil, records per-iteration planner spans (scope,
 	// section count, accept/rollback) into the run's trace. The timing
@@ -171,8 +170,8 @@ func Plan(w Workload, opts Options) (*Result, error) {
 		return nil, err
 	}
 	if opts.Plane == "page" {
-		// Pure-page is the swap-only baseline on the hybrid layout; there
-		// is nothing for the structural iterations to improve.
+		// Pure-page is the swap-only baseline; there is nothing for the
+		// structural iterations to improve.
 		opts.DisableSeparation = true
 	}
 	if opts.LocalBudget <= 0 {
@@ -423,12 +422,7 @@ func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
 	if err != nil {
 		return rt.Config{}, fmt.Errorf("planner: %w", err)
 	}
-	cfg = withPlannerKnobs(cfg, opts)
-	// Plane modes lay the whole heap out hybrid-style so objects can
-	// migrate between planes; all-swap hybrid layout is byte-identical to
-	// the classic one, so this never changes baseline timings.
-	cfg.Hybrid = opts.Plane != ""
-	return cfg, nil
+	return withPlannerKnobs(cfg, opts), nil
 }
 
 // withPlannerKnobs copies the settings every emitted configuration shares

@@ -9,6 +9,7 @@ import (
 	"mira/internal/codec"
 	"mira/internal/ir"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/transport"
 )
@@ -42,14 +43,12 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 	case PlaceLocal:
 		return nil
 	case PlaceSwap:
-		if r.cfg.Hybrid && r.swapC != nil {
-			// Hybrid plane: compiled prefetch statements survive a
-			// migration to the paged plane as page advisories, so the
-			// program's hints keep working on either side of a switch.
-			addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
-			return r.swapPrefetchFars(clk, []uint64{addr})
-		}
-		return fmt.Errorf("rt: prefetch into swap section for %q (compiler bug: swap objects use the page prefetcher)", name)
+		// A compiled prefetch of a paged object becomes a page advisory,
+		// so the hint still works when the planner put the object on the
+		// paged plane. (Bind refuses swap-placed objects without a swap
+		// section, so one exists here.)
+		addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
+		return r.swapPrefetchFars(clk, []uint64{addr})
 	}
 	s := r.secs[o.place.Section]
 	addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
@@ -90,19 +89,57 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 	return nil
 }
 
+// swapPrefetchFars turns far addresses into page advisories (out-of-range
+// addresses become dropped proposals, as the advisory contract requires).
+func (r *Runtime) swapPrefetchFars(clk *sim.Clock, fars []uint64) error {
+	base := r.swapC.Base()
+	pnos := make([]int64, 0, len(fars))
+	for _, far := range fars {
+		if far < base {
+			pnos = append(pnos, -1)
+			continue
+		}
+		pnos = append(pnos, int64((far-base)/swap.PageBytes))
+	}
+	if r.cfg.SwapCompress {
+		r.setCodec(codec.ByteRun)
+		defer r.setCodec(codec.None)
+	}
+	return r.swapC.PrefetchPages(clk, pnos)
+}
+
+// takeQueued removes tag's parked write-back from s's queue. The queued
+// copy is the newest data, so every path that is about to fetch or
+// overwrite a missing line must take it first: a fetch would read stale far
+// bytes, and a queued entry left alive would clobber the new bytes when the
+// queue drains.
+func (r *Runtime) takeQueued(s *sectionRT, tag uint64) (wbqEntry, bool) {
+	if s.wbq == nil {
+		return wbqEntry{}, false
+	}
+	e, ok := s.wbq.take(tag)
+	if ok {
+		r.wbqStats.Hits++
+	}
+	return e, ok
+}
+
+// restore installs a queued line's bytes into l, still dirty: the newest
+// copy lives only locally until it is written back again.
+func (e wbqEntry) restore(l *cache.Line) {
+	copy(l.Data, e.data)
+	l.Dirty = true
+}
+
 // recoverFromWbq serves a prefetch target from the section's write-back
 // queue — the line was evicted but its write-back has not drained, so the
 // queued copy is the newest data and no network is needed. Reports whether
 // the line was recovered.
 func (r *Runtime) recoverFromWbq(clk *sim.Clock, s *sectionRT, o *objectRT, addr, tag uint64) bool {
-	if s.wbq == nil {
-		return false
-	}
-	e, ok := s.wbq.take(tag)
+	e, ok := r.takeQueued(s, tag)
 	if !ok {
 		return false
 	}
-	r.wbqStats.Hits++
 	l, victim := s.sec.Reserve(addr)
 	if err := r.retireVictim(clk, s, o, victim); err != nil {
 		// Re-park the recovered line; the caller's prefetch is advisory.
@@ -110,8 +147,7 @@ func (r *Runtime) recoverFromWbq(clk *sim.Clock, s *sectionRT, o *objectRT, addr
 		s.wbq.add(tag, e.data, e.o, e.ranges)
 		return true
 	}
-	copy(l.Data, e.data)
-	l.Dirty = true // newest copy still lives only locally
+	e.restore(l)
 	return true
 }
 
@@ -146,10 +182,9 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 			return fmt.Errorf("rt: batch prefetch of unknown object %q", e.Obj)
 		}
 		if o.place.Kind != PlaceSection {
-			if o.place.Kind == PlaceSwap && r.cfg.Hybrid && r.swapC != nil &&
-				e.Elem >= 0 && e.Elem < o.decl.Count {
-				// Hybrid plane: batch entries whose object lives on the
-				// paged plane become one page advisory batch below.
+			if o.place.Kind == PlaceSwap && e.Elem >= 0 && e.Elem < o.decl.Count {
+				// Batch entries whose object lives on the paged plane
+				// become one page advisory batch below.
 				swapFars = append(swapFars,
 					o.farBase+uint64(e.Elem)*uint64(o.decl.ElemBytes)+uint64(e.Field.Offset))
 			}

@@ -86,6 +86,10 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 			return err
 		}
 		clk.Advance(r.cfg.Cost.Lookup(s.spec.Cache.Structure))
+		if e, ok := r.takeQueued(s, tag); ok {
+			e.restore(l) // parked in the write-back queue: newest copy
+			continue
+		}
 		if write && fullyCovered {
 			continue // write-allocate without fetch
 		}
@@ -116,11 +120,15 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 			if err := r.retireVictim(clk, s, o, victim); err != nil {
 				return err
 			}
-			fdone, err := r.fetchLine(clk.Now(), s, o, l)
-			if err != nil {
-				return err
+			if e, ok := r.takeQueued(s, tag); ok {
+				e.restore(l)
+			} else {
+				fdone, err := r.fetchLine(clk.Now(), s, o, l)
+				if err != nil {
+					return err
+				}
+				clk.AdvanceTo(fdone)
 			}
-			clk.AdvanceTo(fdone)
 		}
 		lineOff := int(addr - l.Tag)
 		n := lb - lineOff

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mira/internal/cache"
+	"mira/internal/prefetch"
 )
 
 // Shrinking must flush dirty lines first and regrowing must refetch them:
@@ -107,5 +108,35 @@ func TestElasticShrunkSectionStillServes(t *testing.T) {
 	}
 	if err := r.SetSectionScale(clk, 0); err == nil {
 		t.Fatal("scale 0 accepted")
+	}
+}
+
+// TestSetSectionScaleRecapsPrefetchWindow is the regression test for the
+// stale prefetch-window clamp: after an elastic shrink the programmed
+// policy's in-flight window must re-clamp to half the live capacity, and a
+// regrow must restore the configured window.
+func TestSetSectionScaleRecapsPrefetchWindow(t *testing.T) {
+	r, clk := mkRuntime(t, nil) // items section: 16 KiB / 128 B = 128 lines
+	pol := prefetch.NewProgrammed([]int64{0, 1, 2, 3}, 60)
+	if err := r.InstallSectionPolicy(0, pol); err != nil {
+		t.Fatal(err)
+	}
+	if pol.Window() != 60 {
+		t.Fatalf("window = %d before resize, want 60", pol.Window())
+	}
+	// Shrink to 32 lines: a 60-line window would thrash the cache; the
+	// resize must re-clamp it to half the live capacity.
+	if err := r.SetSectionScale(clk, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if pol.Window() != 16 {
+		t.Fatalf("window = %d after shrink to 32 lines, want 16", pol.Window())
+	}
+	// Regrow: the configured window fits again and must come back whole.
+	if err := r.SetSectionScale(clk, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	if pol.Window() != 60 {
+		t.Fatalf("window = %d after regrow, want 60", pol.Window())
 	}
 }

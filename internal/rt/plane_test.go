@@ -7,295 +7,295 @@ import (
 	"mira/internal/cache"
 	"mira/internal/farmem"
 	"mira/internal/ir"
-	"mira/internal/plane"
-	"mira/internal/plane/planetest"
-	"mira/internal/prefetch"
 	"mira/internal/sim"
-	"mira/internal/trace"
 )
 
-// TestLinePlaneConformance runs the shared plane suite against a cache
-// section exposed as a DataPlane. The object is 1000 bytes over 64-byte
-// lines so the tail-unit behavior is exercised.
-func TestLinePlaneConformance(t *testing.T) {
-	planetest.Run(t, "rt.line", func(t *testing.T) *planetest.Harness {
-		t.Helper()
-		b := ir.NewBuilder("planetest")
-		b.Object("grid", 8, 125, ir.F("v", 0, 8))
-		b.Func("main")
-		cfg := Config{
-			Hybrid:      true,
-			LocalBudget: 1 << 20,
-			Sections: []SectionSpec{{
-				Cache: cache.Config{Name: "grid", Structure: cache.SetAssoc, Ways: 4, LineBytes: 64, SizeBytes: 2 << 10},
-			}},
-			Placements: map[string]Placement{"grid": {Kind: PlaceSection, Section: 0}},
-		}
-		node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1})
-		r, err := New(cfg, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Bind(b.MustProgram()); err != nil {
-			t.Fatal(err)
-		}
-		p, err := r.LinePlane(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := r.objs["grid"]
-		return &planetest.Harness{P: p, Base: o.farBase, Length: o.decl.SizeBytes(), FarRead: node.Read}
-	})
+// planeRig is one far object served by one data plane — a cache section
+// (line plane) or the swap pool (page plane) — driven through the
+// runtime's own entry points: Access, Prefetch, FlushObject, FlushAll,
+// Fence and DumpObject.
+type planeRig struct {
+	r    *Runtime
+	obj  string
+	size int64 // object bytes; not a multiple of unit, so a tail unit exists
+	unit int64 // the plane's transfer unit: line or page bytes
+	// resident and capacity count the plane's locally cached units.
+	resident func() int
+	capacity int
+	// stats reports the plane's counters in one comparable shape.
+	stats func() planeStats
 }
 
-// TestPagePlaneConformanceViaRuntime runs the same suite against the paged
-// plane as the runtime exposes it (hybrid layout, swap cache over the
-// unified heap). The object is 4936 bytes so its last page is partial.
-func TestPagePlaneConformanceViaRuntime(t *testing.T) {
-	planetest.Run(t, "rt.page", func(t *testing.T) *planetest.Harness {
-		t.Helper()
-		b := ir.NewBuilder("planetest")
-		b.Object("vec", 8, 617, ir.F("v", 0, 8))
-		b.Func("main")
-		cfg := Config{
-			Hybrid:      true,
-			LocalBudget: 1 << 20,
-			SwapPool:    16 << 10,
-			Placements:  map[string]Placement{"vec": {Kind: PlaceSwap}},
-		}
-		node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1})
-		r, err := New(cfg, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Bind(b.MustProgram()); err != nil {
-			t.Fatal(err)
-		}
-		p := r.PagePlane()
-		if p == nil {
-			t.Fatal("PagePlane returned nil with a swap pool configured")
-		}
-		o := r.objs["vec"]
-		return &planetest.Harness{P: p, Base: o.farBase, Length: o.decl.SizeBytes(), FarRead: node.Read}
-	})
+type planeStats struct {
+	Accesses, Hits, Misses, Prefetches int64
 }
 
-// mkHybridRuntime builds a hybrid-layout runtime over testProgram: items in
-// section 0 (and migratable), vec in swap.
-func mkHybridRuntime(t *testing.T) (*Runtime, *sim.Clock) {
+// planeElem is the element size of every rig object: one 8-byte field.
+const planeElem = 8
+
+func newPlaneRig(t *testing.T, line bool) *planeRig {
 	t.Helper()
-	cfg := Config{
-		Hybrid:      true,
-		LocalBudget: 1 << 20,
-		SwapPool:    64 << 10,
-		Sections: []SectionSpec{{
-			Cache: cache.Config{Name: "items", Structure: cache.SetAssoc, Ways: 4, LineBytes: 128, SizeBytes: 16 << 10},
-		}},
-		Placements: map[string]Placement{
-			"items": {Kind: PlaceSection, Section: 0},
-			"vec":   {Kind: PlaceSwap},
-		},
+	b := ir.NewBuilder("planes")
+	cfg := Config{LocalBudget: 1 << 20}
+	var name string
+	if line {
+		// 1000 bytes over 64-byte lines: a 40-byte tail line.
+		name = "grid"
+		b.Object(name, planeElem, 125, ir.F("v", 0, planeElem))
+		cfg.Sections = []SectionSpec{{
+			Cache: cache.Config{Name: name, Structure: cache.SetAssoc, Ways: 4, LineBytes: 64, SizeBytes: 2 << 10},
+		}}
+		cfg.Placements = map[string]Placement{name: {Kind: PlaceSection, Section: 0}}
+	} else {
+		// 4936 bytes over 4 KiB pages: an 840-byte tail page.
+		name = "vec"
+		b.Object(name, planeElem, 617, ir.F("v", 0, planeElem))
+		cfg.SwapPool = 16 << 10
+		cfg.Placements = map[string]Placement{name: {Kind: PlaceSwap}}
 	}
-	node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1})
-	r, err := New(cfg, node)
+	b.Func("main")
+	r, err := New(cfg, farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Bind(testProgram()); err != nil {
+	if err := r.Bind(b.MustProgram()); err != nil {
 		t.Fatal(err)
 	}
-	return r, sim.NewClock(0)
-}
-
-// TestHybridAllSwapMatchesClassicLayout pins the bindHybrid invariant the
-// pure-page benchmark arm relies on: an all-swap program lays out at the
-// same offsets under Hybrid as under the classic Bind.
-func TestHybridAllSwapMatchesClassicLayout(t *testing.T) {
-	bases := make([]uint64, 2)
-	for i, hybrid := range []bool{false, true} {
-		cfg := Config{
-			LocalBudget: 1 << 20,
-			SwapPool:    64 << 10,
-			Hybrid:      hybrid,
-			Placements: map[string]Placement{
-				"items": {Kind: PlaceSwap},
-				"vec":   {Kind: PlaceSwap},
-			},
+	g := &planeRig{r: r, obj: name, size: r.objs[name].decl.SizeBytes()}
+	if line {
+		s := r.secs[0]
+		g.unit = int64(s.spec.Cache.LineBytes)
+		g.capacity = s.sec.Config().Lines()
+		g.resident = func() int {
+			n := 0
+			s.sec.ForEachResident(func(*cache.Line) { n++ })
+			return n
 		}
-		node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1})
-		r, err := New(cfg, node)
-		if err != nil {
-			t.Fatal(err)
+		g.stats = func() planeStats {
+			st := s.sec.Stats()
+			return planeStats{Accesses: st.Hits + st.Misses, Hits: st.Hits, Misses: st.Misses, Prefetches: s.pf.Issued}
 		}
-		if err := r.Bind(testProgram()); err != nil {
-			t.Fatal(err)
-		}
-		if r.swapC == nil {
-			t.Fatal("no swap cache")
-		}
-		bases[i] = r.objs["vec"].farBase - r.objs["items"].farBase
-		if got, want := r.swapC.Base(), r.objs["items"].farBase; got != want {
-			t.Fatalf("hybrid=%v: swap base %#x, want first object base %#x", hybrid, got, want)
+	} else {
+		g.unit = 4096
+		g.capacity = r.swapC.Capacity()
+		g.resident = r.swapC.Resident
+		g.stats = func() planeStats {
+			st := r.swapC.Stats()
+			return planeStats{Accesses: st.Accesses, Hits: st.Accesses - st.MajorFaults, Misses: st.MajorFaults, Prefetches: st.Prefetches}
 		}
 	}
-	if bases[0] != bases[1] {
-		t.Fatalf("relative layout differs: classic %#x vs hybrid %#x", bases[0], bases[1])
-	}
+	return g
 }
 
-// migrationScript drives one full line->page->line tenure cycle with
-// interleaved accesses, maintaining a native mirror of items as the oracle.
-// It returns elapsed sim time, the trace bytes, and the final far image.
-func migrationScript(t *testing.T) (sim.Time, []byte, []byte) {
+// span clips an element-aligned window of up to want bytes at off to the
+// object.
+func (g *planeRig) span(off, want int64) (int64, []byte) {
+	off = min(off, g.size-planeElem)
+	off -= off % planeElem
+	if want > g.size-off {
+		want = g.size - off
+	}
+	return off, make([]byte, want)
+}
+
+// access reads or writes buf at byte offset off, one element at a time.
+func (g *planeRig) access(t *testing.T, clk *sim.Clock, off int64, buf []byte, write bool) {
 	t.Helper()
-	r, clk := mkHybridRuntime(t)
-	tr := trace.New()
-	r.SetTrace(tr)
-
-	mirror := make([]byte, 64*128) // items: 128 elements x 64 bytes
-	rd := func(elem int64) {
-		got := make([]byte, 8)
-		if err := r.Access(clk, "items", elem, fld(0, 8), got, false, AccessOpts{}); err != nil {
-			t.Fatalf("read items[%d]: %v", elem, err)
-		}
-		if want := mirror[elem*64 : elem*64+8]; !bytes.Equal(got, want) {
-			t.Fatalf("items[%d] = %v, oracle %v", elem, got, want)
+	f := ir.Field{Offset: 0, Bytes: planeElem}
+	for i := int64(0); i < int64(len(buf)); i += planeElem {
+		if err := g.r.Access(clk, g.obj, (off+i)/planeElem, f, buf[i:i+planeElem], write, AccessOpts{}); err != nil {
+			t.Fatalf("%s at %d (write=%v): %v", g.obj, off+i, write, err)
 		}
 	}
-	wr := func(elem int64, seed byte) {
-		buf := make([]byte, 8)
-		for i := range buf {
-			buf[i] = seed + byte(i)
-		}
-		if err := r.Access(clk, "items", elem, fld(0, 8), buf, true, AccessOpts{}); err != nil {
-			t.Fatalf("write items[%d]: %v", elem, err)
-		}
-		copy(mirror[elem*64:], buf)
-	}
+}
 
-	if k, ok := r.ObjectPlane("items"); !ok || k != plane.Line {
-		t.Fatalf("items starts on %v, want line", k)
-	}
-	// Line tenure: dirty a few lines, leave them cached.
-	for e := int64(0); e < 8; e++ {
-		wr(e, byte(10+e))
-	}
-	rd(3)
-
-	if err := r.MigrateObject(clk, "items", plane.Page); err != nil {
-		t.Fatalf("migrate to page: %v", err)
-	}
-	if k, _ := r.ObjectPlane("items"); k != plane.Page {
-		t.Fatalf("items on %v after migration, want page", k)
-	}
-	// Page tenure: the line tenure's dirty bytes must be visible, and new
-	// writes land through the swap cache.
-	rd(0)
-	rd(7)
-	for e := int64(4); e < 12; e++ {
-		wr(e, byte(40+e))
-	}
-	// Migrating to the current plane is a no-op, in time and in state.
-	before := clk.Now()
-	if err := r.MigrateObject(clk, "items", plane.Page); err != nil {
-		t.Fatalf("no-op migrate: %v", err)
-	}
-	if clk.Now() != before {
-		t.Fatalf("no-op migration moved the clock")
-	}
-
-	if err := r.MigrateObject(clk, "items", plane.Line); err != nil {
-		t.Fatalf("migrate back to line: %v", err)
-	}
-	if k, _ := r.ObjectPlane("items"); k != plane.Line {
-		t.Fatal("items not back on the line plane")
-	}
-	// Line tenure again: page tenure's writes must be visible.
-	rd(5)
-	rd(11)
-	wr(2, 99)
-
-	if err := r.FlushAll(clk); err != nil {
-		t.Fatalf("flush all: %v", err)
-	}
-	img, err := r.DumpObject("items")
+// far returns the object's far-memory bytes [off, off+n), bypassing the
+// plane's cache.
+func (g *planeRig) far(t *testing.T, off int64, n int) []byte {
+	t.Helper()
+	img, err := g.r.DumpObject(g.obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img, mirror) {
-		t.Fatal("far image diverged from the native oracle after migrations")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return clk.Now(), buf.Bytes(), img
+	return img[off : off+int64(n)]
 }
 
-// TestMigrationDeterminism replays the identical migration script twice:
-// elapsed sim time, the full trace, and the far image must be
-// byte-identical — the property BENCH replays and the CI A/B gate rely on.
-func TestMigrationDeterminism(t *testing.T) {
-	t1, trace1, img1 := migrationScript(t)
-	t2, trace2, img2 := migrationScript(t)
-	if t1 != t2 {
-		t.Fatalf("elapsed time diverged: %v vs %v", t1, t2)
+// planePattern is the deterministic byte the checks expect at an offset.
+func planePattern(off int64, buf []byte) []byte {
+	for i := range buf {
+		buf[i] = byte((off+int64(i))*131 + 17)
 	}
-	if !bytes.Equal(trace1, trace2) {
-		t.Fatal("trace bytes diverged across identical runs")
-	}
-	if !bytes.Equal(img1, img2) {
-		t.Fatal("far image diverged across identical runs")
-	}
+	return buf
 }
 
-func TestMigrateObjectErrors(t *testing.T) {
-	// Non-hybrid layouts cannot migrate: pages are shared between objects.
-	r, clk := mkRuntime(t, nil)
-	if err := r.MigrateObject(clk, "items", plane.Page); err == nil {
-		t.Fatal("migration allowed without the hybrid layout")
-	}
-
-	r, clk = mkHybridRuntime(t)
-	if err := r.MigrateObject(clk, "nosuch", plane.Page); err == nil {
-		t.Fatal("migration of unknown object did not error")
-	}
-	// vec has no home section: it can never move to the line plane.
-	if err := r.MigrateObject(clk, "vec", plane.Line); err == nil {
-		t.Fatal("migration of a sectionless object to the line plane did not error")
-	}
-	// ...but migrating it to the plane it is on stays a no-op.
-	if err := r.MigrateObject(clk, "vec", plane.Page); err != nil {
-		t.Fatalf("no-op migrate of swap object: %v", err)
-	}
+// runPlaneChecks drives the behaviors every data plane must keep through
+// fresh rigs, one per subtest so no state leaks between them.
+func runPlaneChecks(t *testing.T, name string, line bool) {
+	t.Run(name, func(t *testing.T) {
+		mk := func() *planeRig { return newPlaneRig(t, line) }
+		t.Run("ReadYourWrites", func(t *testing.T) {
+			g, clk := mk(), sim.NewClock(0)
+			// At the head, across a unit boundary, and at the tail.
+			for _, off := range []int64{0, g.unit/2 + 1, g.size - g.unit/3 - 1} {
+				off, buf := g.span(off, g.unit*2+g.unit/2)
+				g.access(t, clk, off, planePattern(off, buf), true)
+				got := make([]byte, len(buf))
+				g.access(t, clk, off, got, false)
+				if !bytes.Equal(got, buf) {
+					t.Fatalf("read-your-writes mismatch at offset %d", off)
+				}
+			}
+		})
+		t.Run("FlushPersists", func(t *testing.T) {
+			g, clk := mk(), sim.NewClock(0)
+			off, buf := g.span(g.unit/2, g.unit*3)
+			g.access(t, clk, off, planePattern(off, buf), true)
+			if err := g.r.FlushAll(clk); err != nil {
+				t.Fatal(err)
+			}
+			if n := g.resident(); n != 0 {
+				t.Fatalf("flush left %d units resident", n)
+			}
+			if !bytes.Equal(g.far(t, off, len(buf)), buf) {
+				t.Fatal("flush did not persist dirty bytes to far memory")
+			}
+		})
+		t.Run("EvictRangePersists", func(t *testing.T) {
+			g, clk := mk(), sim.NewClock(0)
+			off, buf := g.span(0, g.unit*2)
+			g.access(t, clk, off, planePattern(off, buf), true)
+			if err := g.r.FlushObject(clk, g.obj); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g.far(t, off, len(buf)), buf) {
+				t.Fatal("FlushObject did not write the dirty range back to far memory")
+			}
+			got := make([]byte, len(buf))
+			g.access(t, clk, off, got, false)
+			if !bytes.Equal(got, buf) {
+				t.Fatal("refetch after FlushObject lost data")
+			}
+		})
+		t.Run("PrefetchAdvisory", func(t *testing.T) {
+			g, clk := mk(), sim.NewClock(0)
+			off, buf := g.span(0, g.unit*2)
+			g.access(t, clk, off, planePattern(off, buf), true)
+			if err := g.r.FlushAll(clk); err != nil {
+				t.Fatal(err)
+			}
+			// In-range, duplicate and past-the-end proposals: all advisory.
+			f := ir.Field{Offset: 0, Bytes: planeElem}
+			count := g.size / planeElem
+			if err := g.r.Prefetch(clk, g.obj, 0, f); err != nil {
+				t.Fatalf("prefetch: %v", err)
+			}
+			batch := []BatchEntry{
+				{Obj: g.obj, Elem: g.unit / planeElem, Field: f},
+				{Obj: g.obj, Elem: 0, Field: f},
+				{Obj: g.obj, Elem: count + 10*g.unit/planeElem, Field: f},
+			}
+			if err := g.r.PrefetchBatch(clk, batch); err != nil {
+				t.Fatalf("prefetch batch: %v", err)
+			}
+			got := make([]byte, len(buf))
+			g.access(t, clk, off, got, false)
+			if !bytes.Equal(got, buf) {
+				t.Fatal("prefetched bytes differ from the far image")
+			}
+			if st := g.stats(); st.Prefetches == 0 {
+				t.Fatalf("prefetches issued nothing: %+v", st)
+			}
+		})
+		if line {
+			// Fence settles the sections' write-back queues and in-flight
+			// prefetches; the paged plane has no fence of its own.
+			t.Run("FenceSettles", func(t *testing.T) {
+				g, clk := mk(), sim.NewClock(0)
+				off, buf := g.span(0, g.unit)
+				g.access(t, clk, off, planePattern(off, buf), true)
+				if err := g.r.EvictHint(clk, g.obj, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.r.Prefetch(clk, g.obj, g.unit/planeElem, ir.Field{Offset: 0, Bytes: planeElem}); err != nil {
+					t.Fatal(err)
+				}
+				g.r.Fence(clk)
+				settled := clk.Now()
+				g.r.Fence(clk)
+				if clk.Now() != settled {
+					t.Fatalf("second fence moved the clock: %v -> %v", settled, clk.Now())
+				}
+			})
+		}
+		t.Run("TailUnit", func(t *testing.T) {
+			g, clk := mk(), sim.NewClock(0)
+			tail := g.size % g.unit
+			if tail == 0 {
+				t.Fatal("rig object is unit-aligned; the tail unit is not exercised")
+			}
+			off, buf := g.span(g.size-tail, tail)
+			g.access(t, clk, off, planePattern(off, buf), true)
+			if err := g.r.FlushAll(clk); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g.far(t, off, len(buf)), buf) {
+				t.Fatal("tail unit did not persist")
+			}
+		})
+		t.Run("StatsCount", func(t *testing.T) {
+			g, clk := mk(), sim.NewClock(0)
+			off, buf := g.span(0, g.unit*2)
+			before := g.stats()
+			g.access(t, clk, off, buf, false)
+			mid := g.stats()
+			if mid.Misses <= before.Misses || mid.Accesses <= before.Accesses {
+				t.Fatalf("cold read did not count a miss and an access: %+v -> %+v", before, mid)
+			}
+			g.access(t, clk, off, buf, false)
+			after := g.stats()
+			if after.Misses != mid.Misses {
+				t.Fatalf("warm re-read missed: %+v -> %+v", mid, after)
+			}
+			if after.Accesses <= mid.Accesses || after.Hits <= mid.Hits {
+				t.Fatalf("warm re-read not counted as a hit: %+v -> %+v", mid, after)
+			}
+			if n := g.resident(); n <= 0 || n > g.capacity {
+				t.Fatalf("resident %d outside (0, capacity %d]", n, g.capacity)
+			}
+		})
+		t.Run("Determinism", func(t *testing.T) {
+			run := func() (sim.Time, planeStats, []byte) {
+				g, clk := mk(), sim.NewClock(0)
+				for i := int64(0); i < 4; i++ {
+					off, buf := g.span(i*g.unit/2, g.unit)
+					g.access(t, clk, off, planePattern(off, buf), true)
+				}
+				f := ir.Field{Offset: 0, Bytes: planeElem}
+				if err := g.r.PrefetchBatch(clk, []BatchEntry{{Obj: g.obj, Field: f}, {Obj: g.obj, Elem: g.unit / planeElem, Field: f}}); err != nil {
+					t.Fatal(err)
+				}
+				off, got := g.span(0, g.unit*2)
+				g.access(t, clk, off, got, false)
+				if err := g.r.FlushAll(clk); err != nil {
+					t.Fatal(err)
+				}
+				return clk.Now(), g.stats(), g.far(t, 0, int(g.size))
+			}
+			t1, s1, b1 := run()
+			t2, s2, b2 := run()
+			if t1 != t2 || s1 != s2 || !bytes.Equal(b1, b2) {
+				t.Fatalf("identical scripts diverged: %v %+v vs %v %+v (far image equal: %v)",
+					t1, s1, t2, s2, bytes.Equal(b1, b2))
+			}
+		})
+	})
 }
 
-// TestSetSectionScaleRecapsPrefetchWindow is the regression test for the
-// stale prefetch-window clamp: after an elastic shrink the programmed
-// policy's in-flight window must re-clamp to half the live capacity, and a
-// regrow must restore the configured window.
-func TestSetSectionScaleRecapsPrefetchWindow(t *testing.T) {
-	r, clk := mkRuntime(t, nil) // items section: 16 KiB / 128 B = 128 lines
-	pol := prefetch.NewProgrammed([]int64{0, 1, 2, 3}, 60)
-	if err := r.InstallSectionPolicy(0, pol); err != nil {
-		t.Fatal(err)
-	}
-	if pol.Window() != 60 {
-		t.Fatalf("window = %d before resize, want 60", pol.Window())
-	}
-	// Shrink to 32 lines: a 60-line window would thrash the cache; the
-	// resize must re-clamp it to half the live capacity.
-	if err := r.SetSectionScale(clk, 0.25); err != nil {
-		t.Fatal(err)
-	}
-	if pol.Window() != 16 {
-		t.Fatalf("window = %d after shrink to 32 lines, want 16", pol.Window())
-	}
-	// Regrow: the configured window fits again and must come back whole.
-	if err := r.SetSectionScale(clk, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if pol.Window() != 60 {
-		t.Fatalf("window = %d after regrow, want 60", pol.Window())
-	}
-}
+// TestLinePlaneConformance checks the line plane: one object in a cache
+// section, served through the runtime's access, prefetch and flush paths.
+func TestLinePlaneConformance(t *testing.T) { runPlaneChecks(t, "rt.line", true) }
+
+// TestPagePlaneConformanceViaRuntime checks the page plane as the runtime
+// serves it: one swap-placed object, including compiled prefetches, which
+// become page advisories.
+func TestPagePlaneConformanceViaRuntime(t *testing.T) { runPlaneChecks(t, "rt.page", false) }

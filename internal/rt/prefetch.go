@@ -123,18 +123,12 @@ func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64, 
 		addrs = append(addrs, t)
 		sizes = append(sizes, len(l.Data))
 		lines = append(lines, l)
-		snapOK = append(snapOK, s.snaps != nil &&
-			(owners[i] == nil || len(owners[i].selFields) == 0))
+		snapOK = append(snapOK, s.snaps != nil && len(owners[i].selFields) == 0)
 	}
 	if len(addrs) == 0 {
 		return
 	}
-	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(len(addrs)))
-	if s.policy != nil {
-		// Plane-adapter callers issue without an installed policy; only the
-		// policy hook charges the predictor's own overhead.
-		post = post.Add(s.policy.PerMissOverhead())
-	}
+	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(len(addrs))).Add(s.policy.PerMissOverhead())
 	if s.spec.Compress {
 		r.setCodec(codec.ByteRun)
 		defer r.setCodec(codec.None)

@@ -130,10 +130,6 @@ type objectRT struct {
 	place   Placement
 	farBase uint64 // far address of element 0 (swap or section placement)
 	local   []byte // backing when PlaceLocal
-	// homeSec is the cache section this object belongs to when it is (or
-	// returns to) the line plane: its bound placement's section under the
-	// hybrid layout, -1 when it has none (swap- or local-only objects).
-	homeSec int
 	// selective-transmission resolution for the object's section
 	selFields []ir.Field
 	selBytes  int
@@ -256,9 +252,6 @@ func (r *Runtime) Config() Config { return r.cfg }
 // and creates the swap section over the swap-placed heap. Initial object
 // contents are zero; use InitObject to load workload data.
 func (r *Runtime) Bind(p *ir.Program) error {
-	if r.cfg.Hybrid {
-		return r.bindHybrid(p)
-	}
 	// Partition objects.
 	var swapObjs []*ir.Object
 	for _, o := range p.Objects {
@@ -270,7 +263,7 @@ func (r *Runtime) Bind(p *ir.Program) error {
 				pl = Placement{Kind: PlaceSwap}
 			}
 		}
-		ort := &objectRT{decl: o, place: pl, homeSec: -1}
+		ort := &objectRT{decl: o, place: pl}
 		switch pl.Kind {
 		case PlaceLocal:
 			ort.local = make([]byte, o.SizeBytes())
@@ -278,7 +271,6 @@ func (r *Runtime) Bind(p *ir.Program) error {
 		case PlaceSwap:
 			swapObjs = append(swapObjs, o)
 		case PlaceSection:
-			ort.homeSec = pl.Section
 			s := r.secs[pl.Section]
 			lb := uint64(s.spec.Cache.LineBytes)
 			// Align the base and pad the tail so every line of
@@ -584,13 +576,9 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 	// the write-back queue is the newest copy — recover it locally. Taken
 	// even for full-line stores (the queued entry must die either way, or
 	// a later drain would clobber the new store).
-	if s.wbq != nil {
-		if e, ok := s.wbq.take(tag); ok {
-			r.wbqStats.Hits++
-			copy(l.Data, e.data)
-			l.Dirty = true
-			return l, accessMissed, nil
-		}
+	if e, ok := r.takeQueued(s, tag); ok {
+		e.restore(l)
+		return l, accessMissed, nil
 	}
 	if write && (opts.NoFetch || (fullLine && r.tr.BreakerOpen(clk.Now()))) {
 		// Write-only full-line store: allocate without fetching. The

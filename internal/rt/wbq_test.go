@@ -327,3 +327,82 @@ func TestPrefetchInflightClearedOnEviction(t *testing.T) {
 		t.Fatalf("prefetched line has wrong data: %x", g)
 	}
 }
+
+// parkDirtyItem3 writes w into items[3] and evicts its line (tag 128,
+// direct slot 1) by touching items[18] (tag 1152, slot 1 again), so the
+// only copy of the write sits in the write-back queue.
+func parkDirtyItem3(t *testing.T, r *Runtime, clk *sim.Clock, w []byte) {
+	t.Helper()
+	if err := r.Access(clk, "items", 3, fld(0, 8), w, true, AccessOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Access(clk, "items", 18, fld(0, 8), make([]byte, 8), false, AccessOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.WritebackQueueStats().Enqueued; got != 1 {
+		t.Fatalf("queued lines = %d, want items[3]'s line parked", got)
+	}
+}
+
+// TestBulkSeesQueuedLine is the regression test for the tensor-intrinsic
+// path reading past the write-back queue: a bulk read, and the fetch
+// behind a partial bulk write, must recover a parked dirty line instead of
+// re-reading the stale far copy.
+func TestBulkSeesQueuedLine(t *testing.T) {
+	w := []byte{9, 8, 7, 6, 5, 4, 3, 2}
+
+	r, clk := wbqRuntime(t, 16)
+	parkDirtyItem3(t, r, clk, w)
+	g := make([]byte, 8)
+	if err := r.BulkRead(clk, "items", 3, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("BulkRead of a queued line: got %x want %x", g, w)
+	}
+
+	// A partial write of the same line (items[2]'s first 8 bytes) must
+	// keep the parked bytes it does not cover.
+	r, clk = wbqRuntime(t, 16)
+	parkDirtyItem3(t, r, clk, w)
+	if err := r.BulkWrite(clk, "items", 2, []byte{1, 1, 1, 1, 1, 1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.FlushAll(clk); err != nil {
+		t.Fatal(err)
+	}
+	img, _ := r.DumpObject("items")
+	if !bytes.Equal(img[3*64:3*64+8], w) {
+		t.Fatalf("partial BulkWrite lost the queued bytes: items[3] = %x, want %x", img[3*64:3*64+8], w)
+	}
+}
+
+// TestBulkWriteCancelsQueuedLine pins the other half: a bulk write that
+// covers a parked line whole allocates it without a fetch, but must still
+// take the queued copy out, or the queue's next drain would push the dead
+// bytes to far memory after the newer write.
+func TestBulkWriteCancelsQueuedLine(t *testing.T) {
+	w := []byte{9, 8, 7, 6, 5, 4, 3, 2}
+	r, clk := wbqRuntime(t, 16)
+	parkDirtyItem3(t, r, clk, w)
+	line := bytes.Repeat([]byte{0x5A}, 128) // items[2..3]: tag 128 whole
+	if err := r.BulkWrite(clk, "items", 2, line); err != nil {
+		t.Fatal(err)
+	}
+	drained := r.WritebackQueueStats().Lines
+	r.Fence(clk) // drains every section's queue
+	if got := r.WritebackQueueStats().Lines; got != drained {
+		t.Fatalf("drain after a covering BulkWrite wrote %d dead queued lines", got-drained)
+	}
+	img, _ := r.DumpObject("items")
+	if bytes.Equal(img[3*64:3*64+8], w) {
+		t.Fatal("the overwritten queued copy reached far memory")
+	}
+	if err := r.FlushAll(clk); err != nil {
+		t.Fatal(err)
+	}
+	img, _ = r.DumpObject("items")
+	if !bytes.Equal(img[2*64:4*64], line) {
+		t.Fatal("covering BulkWrite did not persist")
+	}
+}

@@ -327,6 +327,15 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 	return p, nil
 }
 
+// PrefetchPages issues an advisory fetch for the given page numbers, exactly
+// as a prefetcher proposal would (out-of-range and resident pages dropped,
+// batch gather when configured). Callers outside the fault path — compiled
+// prefetch statements of swap-placed objects — use it so their hints reach
+// the paged plane.
+func (c *Cache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
+	return c.issueAdvisory(clk, nil, pnos)
+}
+
 // issueAdvisory filters prefetcher proposals and issues the survivors
 // (batched when configured). The demand page p is pinned throughout:
 // prefetch-triggered evictions must not invalidate the page about to be

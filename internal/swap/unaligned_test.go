@@ -8,7 +8,6 @@ import (
 	"mira/internal/codec"
 	"mira/internal/farmem"
 	"mira/internal/netmodel"
-	"mira/internal/plane/planetest"
 	"mira/internal/sim"
 	"mira/internal/transport"
 )
@@ -180,18 +179,152 @@ func TestFaultsInRangeClamping(t *testing.T) {
 	}
 }
 
-// TestSwapPlaneConformance runs the shared DataPlane suite over the bare
-// paged plane, with a deliberately unaligned region so the tail-unit
-// behaviors are exercised.
+// TestSwapPlaneConformance checks the paged plane directly on the cache,
+// over a deliberately unaligned region so the tail page is exercised. Each
+// subtest builds a fresh rig so no state leaks between behaviors.
 func TestSwapPlaneConformance(t *testing.T) {
-	planetest.Run(t, "swap", func(t *testing.T) *planetest.Harness {
-		length := int64(6*PageBytes + 1234)
-		rig := newUnalignedRig(t, 16, length, nil, true)
-		return &planetest.Harness{
-			P:       Plane{C: rig.c},
-			Base:    rig.c.Base(),
-			Length:  length,
-			FarRead: rig.node.Read,
+	const length = int64(6*PageBytes + 1234)
+	mk := func() *unalignedRig { return newUnalignedRig(t, 16, length, nil, true) }
+	// span returns an access window of up to want bytes at off, clipped to
+	// the region.
+	span := func(c *Cache, off, want int64) (uint64, []byte) {
+		off = min(off, length-1)
+		return c.Base() + uint64(off), make([]byte, min(want, length-off))
+	}
+	access := func(t *testing.T, rig *unalignedRig, addr uint64, buf []byte, write bool) {
+		t.Helper()
+		var err error
+		if write {
+			err = rig.c.Write(rig.clk, addr, buf)
+		} else {
+			err = rig.c.Read(rig.clk, addr, buf)
 		}
+		if err != nil {
+			t.Fatalf("access at %#x (write=%v): %v", addr, write, err)
+		}
+	}
+	// persisted checks that far memory behind the cache holds buf at addr.
+	persisted := func(t *testing.T, rig *unalignedRig, addr uint64, buf []byte) bool {
+		t.Helper()
+		far := make([]byte, len(buf))
+		if err := rig.node.Read(addr, far); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Equal(far, buf)
+	}
+	flush := func(t *testing.T, rig *unalignedRig) {
+		t.Helper()
+		if err := rig.c.FlushAll(rig.clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("swap", func(t *testing.T) {
+		t.Run("ReadYourWrites", func(t *testing.T) {
+			rig := mk()
+			// At the head, across a page boundary, and at the tail.
+			for _, off := range []int64{0, PageBytes/2 + 1, length - PageBytes/3 - 1} {
+				addr, buf := span(rig.c, off, PageBytes*2+PageBytes/2)
+				access(t, rig, addr, planePattern(addr, buf), true)
+				got := make([]byte, len(buf))
+				access(t, rig, addr, got, false)
+				if !bytes.Equal(got, buf) {
+					t.Fatalf("read-your-writes mismatch at offset %d", off)
+				}
+			}
+		})
+		t.Run("FlushPersists", func(t *testing.T) {
+			rig := mk()
+			addr, buf := span(rig.c, PageBytes/2, PageBytes*3)
+			access(t, rig, addr, planePattern(addr, buf), true)
+			flush(t, rig)
+			if n := rig.c.Resident(); n != 0 {
+				t.Fatalf("flush left %d pages resident", n)
+			}
+			if !persisted(t, rig, addr, buf) {
+				t.Fatal("flush did not persist dirty bytes to far memory")
+			}
+		})
+		t.Run("PrefetchAdvisory", func(t *testing.T) {
+			rig := mk()
+			addr, buf := span(rig.c, 0, PageBytes*2)
+			access(t, rig, addr, planePattern(addr, buf), true)
+			flush(t, rig)
+			// In-range, duplicate, negative and far out-of-range proposals:
+			// all advisory.
+			if err := rig.c.PrefetchPages(rig.clk, []int64{0, 1, 0, -1, 100}); err != nil {
+				t.Fatalf("prefetch: %v", err)
+			}
+			got := make([]byte, len(buf))
+			access(t, rig, addr, got, false)
+			if !bytes.Equal(got, buf) {
+				t.Fatal("prefetched bytes differ from the far image")
+			}
+			if st := rig.c.Stats(); st.Prefetches == 0 || st.PrefetchDropped == 0 {
+				t.Fatalf("prefetch issued nothing or dropped nothing: %+v", st)
+			}
+		})
+		t.Run("TailUnit", func(t *testing.T) {
+			rig := mk()
+			tail := length % PageBytes
+			addr, buf := span(rig.c, length-tail, tail)
+			access(t, rig, addr, planePattern(addr, buf), true)
+			flush(t, rig)
+			if !persisted(t, rig, addr, buf) {
+				t.Fatal("tail page did not persist")
+			}
+		})
+		t.Run("StatsCount", func(t *testing.T) {
+			rig := mk()
+			addr, buf := span(rig.c, 0, PageBytes*2)
+			before := rig.c.Stats()
+			access(t, rig, addr, buf, false)
+			mid := rig.c.Stats()
+			if mid.MajorFaults <= before.MajorFaults || mid.Accesses <= before.Accesses {
+				t.Fatalf("cold read did not count a fault and an access: %+v -> %+v", before, mid)
+			}
+			access(t, rig, addr, buf, false)
+			after := rig.c.Stats()
+			if after.MajorFaults != mid.MajorFaults || after.Accesses <= mid.Accesses {
+				t.Fatalf("warm re-read faulted or went uncounted: %+v -> %+v", mid, after)
+			}
+			if n := rig.c.Resident(); n <= 0 || n > rig.c.Capacity() {
+				t.Fatalf("resident %d outside (0, capacity %d]", n, rig.c.Capacity())
+			}
+		})
+		t.Run("Determinism", func(t *testing.T) {
+			run := func() (sim.Time, Stats, []byte) {
+				rig := mk()
+				for i := int64(0); i < 4; i++ {
+					addr, buf := span(rig.c, i*PageBytes/2, PageBytes)
+					access(t, rig, addr, planePattern(addr, buf), true)
+				}
+				if err := rig.c.PrefetchPages(rig.clk, []int64{0, 1}); err != nil {
+					t.Fatal(err)
+				}
+				addr, got := span(rig.c, 0, PageBytes*2)
+				access(t, rig, addr, got, false)
+				flush(t, rig)
+				far := make([]byte, len(got))
+				if err := rig.node.Read(addr, far); err != nil {
+					t.Fatal(err)
+				}
+				return rig.clk.Now(), rig.c.Stats(), far
+			}
+			t1, s1, b1 := run()
+			t2, s2, b2 := run()
+			if t1 != t2 || s1 != s2 || !bytes.Equal(b1, b2) {
+				t.Fatalf("identical scripts diverged: %v %+v vs %v %+v (far image equal: %v)",
+					t1, s1, t2, s2, bytes.Equal(b1, b2))
+			}
+		})
 	})
+}
+
+// planePattern fills buf with the deterministic bytes expected at far
+// address addr onward.
+func planePattern(addr uint64, buf []byte) []byte {
+	for i := range buf {
+		buf[i] = byte((addr+uint64(i))*131 + 17)
+	}
+	return buf
 }
